@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "explore/annealer.hh"
-#include "explore/predictor.hh"
 #include "explore/search_space.hh"
 #include "sim/batch.hh"
 #include "sim/simulator.hh"
@@ -24,7 +23,6 @@
 #include "util/metrics.hh"
 #include "util/procpool.hh"
 #include "util/rng.hh"
-#include "workload/characteristics.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 #include "workload/trace.hh"
@@ -239,7 +237,6 @@ main(int argc, char **argv)
             params);
         annealer.setFrontier(
             [&](const std::vector<CoreConfig> &cands,
-                const FrontierContext &,
                 std::vector<double> &scores,
                 std::vector<uint8_t> &full) {
                 const ScreenOutcome o = sim.screen(cands, cuts);
@@ -258,110 +255,6 @@ main(int argc, char **argv)
                 "%.2fx over scalar traced round\n",
                 kBatchWidth, roundBatchedMs,
                 roundTracedMs / roundBatchedMs);
-
-    // The same round with XPS_SURROGATE=1 semantics on top of the
-    // batch: a pre-trained ridge-regression predictor vetoes
-    // confidently-bad proposals before they reach the simulator
-    // (DESIGN.md §12). Training happens untimed — in a real
-    // exploration the model trains on simulations earlier rounds pay
-    // for anyway — and each timed rep gets a fresh simulator plus a
-    // copy of the trained model, so reps are identical steady-state
-    // rounds. The bench uses an aggressive veto margin, the
-    // steady-state posture: a trained model vetoes nearly every
-    // downhill proposal and the round's cost collapses to the
-    // full-fidelity evaluations the walk actually trusts. Honesty
-    // (adopted config confirmed at full fidelity) is independent of
-    // the margin; only trajectory fidelity trades off, which is the
-    // knob's documented purpose.
-    const Characteristics gccChars = measureCharacteristics(gcc, 50000);
-    PredictorOptions surOpts;
-    surOpts.kappa = 0.5;
-    surOpts.vetoMargin = 0.5;
-    IpcPredictor trained(surOpts);
-    uint64_t surVetoes = 0;
-    uint64_t surSims = 0;
-    {
-        const auto trace = sharedTrace(gcc, 0, 2 * kRoundInstrs);
-        BatchOptions bopts;
-        bopts.measureInstrs = kRoundInstrs;
-        BatchSimulator sim(trace, bopts);
-        const std::vector<CoreConfig> train =
-            frontierConfigs(space, 128, 29);
-        const std::vector<SimStats> stats = sim.evaluate(train);
-        for (size_t i = 0; i < train.size(); ++i)
-            trained.observe(
-                IpcPredictor::features(train[i], gccChars),
-                stats[i].ipt());
-    }
-    auto roundSurrogate = [&] {
-        const auto trace = sharedTrace(gcc, 0, 2 * kRoundInstrs);
-        BatchOptions bopts;
-        bopts.measureInstrs = kRoundInstrs;
-        BatchSimulator sim(trace, bopts);
-        const std::vector<ScreenCut> cuts =
-            BatchSimulator::defaultCuts(kBatchWidth);
-        IpcPredictor pred = trained;
-        auto observe = [&](const CoreConfig &c, double ipt) {
-            pred.observe(IpcPredictor::features(c, gccChars), ipt);
-            ++surSims;
-        };
-        AnnealParams params;
-        params.iterations = kRoundIters;
-        Annealer annealer(
-            space,
-            [&](const CoreConfig &c) {
-                const double ipt = sim.evaluate({c})[0].ipt();
-                observe(c, ipt);
-                return ipt;
-            },
-            params);
-        annealer.setFrontier(
-            [&](const std::vector<CoreConfig> &cands,
-                const FrontierContext &ctx,
-                std::vector<double> &scores,
-                std::vector<uint8_t> &full) {
-                scores.assign(cands.size(), 0.0);
-                full.assign(cands.size(), kScreenPartial);
-                std::vector<size_t> pos;
-                std::vector<CoreConfig> to_sim;
-                for (size_t i = 0; i < cands.size(); ++i) {
-                    const std::vector<double> phi =
-                        IpcPredictor::features(cands[i], gccChars);
-                    if (pred.confidentlyBelow(phi, ctx.currentScore,
-                                              ctx.temp)) {
-                        scores[i] = pred.predict(phi);
-                        full[i] = kScreenVeto;
-                        ++surVetoes;
-                        continue;
-                    }
-                    pos.push_back(i);
-                    to_sim.push_back(cands[i]);
-                }
-                if (to_sim.empty())
-                    return;
-                const ScreenOutcome o = sim.screen(to_sim, cuts);
-                for (size_t j = 0; j < pos.size(); ++j) {
-                    if (!o.full[j])
-                        continue;
-                    scores[pos[j]] = o.stats[j].ipt();
-                    full[pos[j]] = kScreenFull;
-                    observe(to_sim[j], o.stats[j].ipt());
-                }
-            },
-            kBatchWidth);
-        volatile double s =
-            annealer.run(space.initialConfig()).bestScore;
-        (void)s;
-    };
-    const double roundSurrogateMs = minOfN(5, roundSurrogate);
-    const IpcPredictor::Calibration surCal = trained.calibration();
-    std::printf("annealer round surrogate (width %u): %.1f ms, "
-                "%.2fx over batched round (calibration p50 %.1f%% "
-                "p90 %.1f%% over %llu samples)\n",
-                kBatchWidth, roundSurrogateMs,
-                roundBatchedMs / roundSurrogateMs, surCal.p50 * 100,
-                surCal.p90 * 100,
-                static_cast<unsigned long long>(surCal.samples));
 
     // Worker-job latency: a small supervised batch after the timed
     // sections (fork noise must not disturb the min-of-N numbers).
@@ -439,31 +332,6 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(kRoundIters),
                  static_cast<unsigned long long>(kRoundInstrs),
                  roundBatchedMs, roundTracedMs / roundBatchedMs);
-    // `speedup_vs_batched_round` is the key the CI perf gate reads:
-    // the surrogate round must stay >= 2x over the batched round at
-    // the same width.
-    std::fprintf(f,
-                 "  \"annealer_round_surrogate\": {\"batch_width\": %u, "
-                 "\"iters\": %llu, \"instrs_per_eval\": %llu, "
-                 "\"workload\": \"gcc\", \"traced_ms\": %.3f, "
-                 "\"speedup_vs_batched_round\": %.2f, "
-                 "\"vetoes_all_reps\": %llu, "
-                 "\"full_sims_all_reps\": %llu},\n",
-                 kBatchWidth,
-                 static_cast<unsigned long long>(kRoundIters),
-                 static_cast<unsigned long long>(kRoundInstrs),
-                 roundSurrogateMs, roundBatchedMs / roundSurrogateMs,
-                 static_cast<unsigned long long>(surVetoes),
-                 static_cast<unsigned long long>(surSims));
-    // Predicted-vs-actual relative error of the trained model, one
-    // sample per observation made after the model armed (quantiles
-    // are power-of-two-bucket upper bounds).
-    std::fprintf(f,
-                 "  \"surrogate_calibration\": {\"samples\": %llu, "
-                 "\"p50\": %.6f, \"p90\": %.6f, \"p99\": %.6f, "
-                 "\"max\": %.6f},\n",
-                 static_cast<unsigned long long>(surCal.samples),
-                 surCal.p50, surCal.p90, surCal.p99, surCal.max);
     // The streaming path above already contains this PR's scheduler
     // and core-loop optimizations, so "speedup" understates the full
     // before/after. These are the same measurements taken at the

@@ -4,15 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 #include "check/invariant_checker.hh"
-#include "explore/annealer.hh"
-#include "explore/predictor.hh"
 #include "sim/batch.hh"
 #include "sim/ooo_core.hh"
 #include "util/logging.hh"
-#include "workload/characteristics.hh"
 #include "workload/trace.hh"
 
 namespace xps
@@ -131,17 +127,9 @@ runDifferentialCaseBatched(const PropCase &c)
     return runDifferentialCaseImpl(c, /*batched=*/true);
 }
 
-namespace
-{
-
-/** One fuzz campaign over any case property: generate, check, shrink
- *  failures to a local minimum, serialize reproductions as
- *  `<prefix>seed<seed>-iter<i>.case`. */
 FuzzReport
-runFuzzCampaign(uint64_t iters, uint64_t seed,
-                const std::string &corpus_dir, const char *prefix,
-                const std::function<std::pair<bool, std::string>(
-                    const PropCase &)> &check)
+fuzzDifferential(uint64_t iters, uint64_t seed,
+                 const std::string &corpus_dir, bool batched)
 {
     // Shrinking re-evaluates the property hundreds of times; a few
     // shrunk reproductions of the same campaign are plenty.
@@ -149,19 +137,20 @@ runFuzzCampaign(uint64_t iters, uint64_t seed,
 
     PropGen gen(seed);
     FuzzReport rep;
-    const PropProperty passes = [&check](const PropCase &pc) {
-        return check(pc).first;
+    const PropProperty passes = [batched](const PropCase &pc) {
+        return runDifferentialCaseImpl(pc, batched).passed;
     };
     for (uint64_t i = 0; i < iters; ++i) {
         const PropCase c = gen.next();
         ++rep.iterations;
-        const auto [passed, failure] = check(c);
-        if (passed)
+        const DiffResult r = runDifferentialCaseImpl(c, batched);
+        if (r.passed)
             continue;
 
         const PropCase minimal = shrinkCase(c, passes, gen.timing());
-        const auto [mp, mfailure] = check(minimal);
-        const std::string &msg = mfailure.empty() ? failure : mfailure;
+        const DiffResult mr = runDifferentialCaseImpl(minimal, batched);
+        const std::string &msg =
+            mr.failure.empty() ? r.failure : mr.failure;
         ++rep.failures;
         if (rep.failures == 1) {
             rep.firstFailure = minimal;
@@ -176,7 +165,7 @@ runFuzzCampaign(uint64_t iters, uint64_t seed,
         if (!corpus_dir.empty()) {
             std::filesystem::create_directories(corpus_dir);
             std::ostringstream name;
-            name << prefix << "seed" << seed << "-iter" << i
+            name << "fail-seed" << seed << "-iter" << i
                  << ".case";
             const std::string path =
                 (std::filesystem::path(corpus_dir) / name.str())
@@ -194,170 +183,8 @@ runFuzzCampaign(uint64_t iters, uint64_t seed,
     return rep;
 }
 
-} // namespace
-
-FuzzReport
-fuzzDifferential(uint64_t iters, uint64_t seed,
-                 const std::string &corpus_dir, bool batched)
-{
-    return runFuzzCampaign(
-        iters, seed, corpus_dir, "fail-",
-        [batched](const PropCase &pc) {
-            DiffResult r = runDifferentialCaseImpl(pc, batched);
-            return std::make_pair(r.passed, std::move(r.failure));
-        });
-}
-
-SurrogateChainResult
-runSurrogateChainCase(const PropCase &c)
-{
-    const uint64_t ops =
-        c.measureInstrs + c.warmupInstrs + kTraceSlackOps;
-    auto buffer = std::make_shared<const TraceBuffer>(
-        c.profile, c.streamId, ops);
-
-    const UnitTiming timing;
-    const SearchSpace space(timing);
-    AnnealParams params;
-    params.iterations = 96;
-    params.seed = configFingerprint(c.config) ^
-                  (c.streamId * 0x9e3779b97f4a7c15ULL);
-
-    BatchOptions bopts;
-    bopts.measureInstrs = c.measureInstrs;
-    bopts.warmupInstrs = c.warmupInstrs;
-
-    SurrogateChainResult r;
-
-    // Unscreened chain: the plain scalar walk (memoized full-fidelity
-    // evaluations through a BatchSimulator, bit-identical to
-    // simulate()).
-    {
-        BatchSimulator sim(buffer, bopts);
-        const Annealer base(
-            space,
-            [&](const CoreConfig &cfg) {
-                return sim.evaluate({cfg})[0].ipt();
-            },
-            params);
-        const AnnealResult a = base.run(c.config);
-        r.baselineBest = a.best;
-        r.baselineScore = a.bestScore;
-    }
-
-    // Screened chain: same seed, width-1 frontier, an IpcPredictor
-    // pre-screening each proposal. Its own simulator (own memo), so
-    // the model trains on exactly the simulations this chain pays
-    // for. Every full-fidelity score is recorded by fingerprint — the
-    // honesty referee below.
-    std::unordered_map<uint64_t, double> confirmed;
-    std::vector<std::pair<CoreConfig, double>> vetoed;
-    {
-        BatchSimulator sim(buffer, bopts);
-        const Characteristics chars =
-            measureCharacteristics(c.profile, 20000);
-        // Arm fast (short chains) but veto only far below the walk:
-        // at margin 12 a correct veto's candidate had acceptance
-        // probability <= e^-12, so trajectory divergence is
-        // negligible even over long campaigns — and the honesty
-        // property is margin-independent anyway.
-        PredictorOptions popts;
-        popts.minObservations = 8;
-        popts.vetoMargin = 12.0;
-        IpcPredictor pred(popts);
-        auto full_eval = [&](const CoreConfig &cfg) {
-            const double ipt = sim.evaluate({cfg})[0].ipt();
-            pred.observe(IpcPredictor::features(cfg, chars), ipt);
-            confirmed[configFingerprint(cfg)] = ipt;
-            return ipt;
-        };
-        Annealer screened(space, full_eval, params);
-        screened.setFrontier(
-            [&](const std::vector<CoreConfig> &cands,
-                const FrontierContext &ctx,
-                std::vector<double> &scores,
-                std::vector<uint8_t> &full) {
-                scores.assign(cands.size(), 0.0);
-                full.assign(cands.size(), kScreenPartial);
-                for (size_t i = 0; i < cands.size(); ++i) {
-                    const std::vector<double> phi =
-                        IpcPredictor::features(cands[i], chars);
-                    if (pred.confidentlyBelow(phi, ctx.currentScore,
-                                              ctx.temp)) {
-                        scores[i] = pred.predict(phi);
-                        full[i] = kScreenVeto;
-                        ++r.vetoes;
-                        vetoed.emplace_back(
-                            cands[i],
-                            ctx.currentScore *
-                                (1.0 - popts.vetoMargin * ctx.temp));
-                        continue;
-                    }
-                    scores[i] = full_eval(cands[i]);
-                    full[i] = kScreenFull;
-                }
-            },
-            1);
-        const AnnealResult s = screened.run(c.config);
-        r.screenedBest = s.best;
-        r.screenedScore = s.bestScore;
-    }
-
-    std::ostringstream fail;
-    const auto it = confirmed.find(configFingerprint(r.screenedBest));
-    if (it == confirmed.end()) {
-        fail << "honesty: adopted config was never simulated at "
-                "full fidelity; ";
-    } else if (it->second != r.screenedScore) {
-        fail << "honesty: adopted score " << r.screenedScore
-             << " != its confirmed full-fidelity score " << it->second
-             << "; ";
-    }
-    if (configFingerprint(r.screenedBest) ==
-        configFingerprint(r.baselineBest)) {
-        if (r.screenedScore != r.baselineScore)
-            fail << "trajectory: same adopted config but score "
-                 << r.screenedScore << " != unscreened "
-                 << r.baselineScore << "; ";
-    } else if (r.screenedScore < r.baselineScore) {
-        // Attribute the merit loss before calling it a failure: a
-        // false veto (the model confidently wrong about a candidate's
-        // score) diverts the walk while only ever skipping work — the
-        // accepted cost of screening with an undertrained model. Re-
-        // simulate every vetoed candidate at full fidelity; the loss
-        // is a protocol failure only when every veto's claim holds,
-        // because then each rejected candidate's Metropolis
-        // acceptance probability was <= e^-vetoMargin and the
-        // trajectory should not have moved.
-        BatchSimulator audit(buffer, bopts);
-        for (const auto &[cfg, thr] : vetoed)
-            if (audit.evaluate({cfg})[0].ipt() >= thr)
-                ++r.falseVetoes;
-        if (r.falseVetoes == 0)
-            fail << "merit: screened chain adopted a worse config ("
-                 << r.screenedScore << " < unscreened "
-                 << r.baselineScore << ") with all " << r.vetoes
-                 << " vetoes verified correct; ";
-    }
-    r.failure = fail.str();
-    r.passed = r.failure.empty();
-    return r;
-}
-
-FuzzReport
-fuzzSurrogate(uint64_t iters, uint64_t seed,
-              const std::string &corpus_dir)
-{
-    return runFuzzCampaign(
-        iters, seed, corpus_dir, "surr-",
-        [](const PropCase &pc) {
-            SurrogateChainResult r = runSurrogateChainCase(pc);
-            return std::make_pair(r.passed, std::move(r.failure));
-        });
-}
-
 std::vector<PropCase>
-loadCorpus(const std::string &dir, const std::string &prefix)
+loadCorpus(const std::string &dir)
 {
     std::vector<PropCase> cases;
     std::error_code ec;
@@ -366,9 +193,7 @@ loadCorpus(const std::string &dir, const std::string &prefix)
     std::vector<std::string> paths;
     for (const auto &entry : std::filesystem::directory_iterator(dir)) {
         if (entry.is_regular_file() &&
-            entry.path().extension() == ".case" &&
-            (prefix.empty() ||
-             entry.path().filename().string().rfind(prefix, 0) == 0))
+            entry.path().extension() == ".case")
             paths.push_back(entry.path().string());
     }
     std::sort(paths.begin(), paths.end());

@@ -82,62 +82,9 @@ FuzzReport fuzzDifferential(uint64_t iters, uint64_t seed,
                             const std::string &corpus_dir = "",
                             bool batched = false);
 
-/** Outcome of one surrogate-vs-unscreened chain comparison. */
-struct SurrogateChainResult
-{
-    bool passed = false;
-    std::string failure;
-    /** Incumbents of the two chains (full-fidelity scores). */
-    CoreConfig baselineBest;
-    CoreConfig screenedBest;
-    double baselineScore = 0.0;
-    double screenedScore = 0.0;
-    uint64_t vetoes = 0;
-    /** Vetoes whose candidate, re-simulated at full fidelity, scored
-     *  at or above the threshold the veto claimed it was confidently
-     *  below (counted only when merit attribution runs). */
-    uint64_t falseVetoes = 0;
-};
-
-/**
- * The surrogate screening referee (DESIGN.md §12): run one annealing
- * chain over the case's workload twice from the same seed — once
- * unscreened (plain scalar walk) and once with an IpcPredictor
- * pre-screening a width-1 frontier — and require
- *
- *   - honesty: the screened chain's adopted configuration and score
- *     must exactly match a full-fidelity simulation the chain paid
- *     for (a predicted score can never be adopted), and
- *   - match-or-not-worse: the screened chain adopts the identical
- *     configuration with the bit-identical score (the veto-burns-roll
- *     protocol preserves the trajectory when every veto is correct),
- *     or a configuration whose full-fidelity score is at least the
- *     unscreened chain's.
- *
- * A worse adopted score is excused only when the referee can prove a
- * false veto caused it: every vetoed candidate is re-simulated at
- * full fidelity, and at least one must score at or above the
- * threshold its veto claimed it was confidently below. A wrong
- * prediction skipping good work is the model missing — the fidelity
- * ladder's accepted cost, bounded by the calibration report. Worse
- * merit with every veto verified correct means the protocol itself
- * lost the trajectory (a correct veto's candidate had Metropolis
- * acceptance probability <= e^-vetoMargin), and that is the bug class
- * this referee hunts.
- */
-SurrogateChainResult runSurrogateChainCase(const PropCase &c);
-
-/** fuzzDifferential's analogue for runSurrogateChainCase: failing
- *  cases are shrunk and written to the corpus as `surr-*.case`. */
-FuzzReport fuzzSurrogate(uint64_t iters, uint64_t seed,
-                         const std::string &corpus_dir = "");
-
 /** Parse every `*.case` file under `dir` (sorted by name; empty when
- *  the directory does not exist). A non-empty `prefix` restricts to
- *  files whose name starts with it (e.g. "surr-" for the surrogate
- *  tier's reproductions). */
-std::vector<PropCase> loadCorpus(const std::string &dir,
-                                 const std::string &prefix = "");
+ *  the directory does not exist). */
+std::vector<PropCase> loadCorpus(const std::string &dir);
 
 } // namespace xps
 

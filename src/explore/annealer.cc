@@ -189,7 +189,6 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
         // neighbours of the round-start point, scored in one
         // FrontierObjective call, then judged in draw order.
         Counter &ctr_screened = metrics.counter("anneal.screened");
-        Counter &ctr_vetoed = metrics.counter("anneal.vetoed");
         uint64_t iter = state.iteration;
         while (iter < params_.iterations) {
             const uint64_t round = std::min<uint64_t>(
@@ -216,9 +215,8 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
             }
             std::vector<double> scores;
             std::vector<uint8_t> full;
-            const FrontierContext ctx{cur_score, temp};
             if (!to_eval.empty())
-                frontier_(to_eval, ctx, scores, full);
+                frontier_(to_eval, scores, full);
             std::vector<double> score_of(round, 0.0);
             std::vector<uint8_t> full_of(round, 0);
             for (size_t j = 0; j < eval_pos.size(); ++j) {
@@ -231,24 +229,6 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
                 temp *= cooling;
                 if (!have[k])
                     continue; // stuck corner; cool and retry
-                if (full_of[k] == kScreenVeto) {
-                    // Surrogate veto: modelled as a certain
-                    // Metropolis reject of a worse candidate, so the
-                    // acceptance roll such a reject would consume is
-                    // burned here — a correct veto leaves the
-                    // trajectory and RNG stream identical to the
-                    // unscreened walk's.
-                    rng.uniform();
-                    ctr_rejects.add();
-                    ctr_vetoed.add();
-                    obs::instant("anneal.veto", "anneal", [&] {
-                        return obs::Args()
-                            .add("workload", label)
-                            .add("step", iter)
-                            .add("temp", temp);
-                    });
-                    continue;
-                }
                 if (full_of[k] == kScreenPartial) {
                     // Screened out at a cut: an auto-rejected
                     // proposal (no acceptance randomness consumed —

@@ -55,30 +55,12 @@ struct AnnealResult
     std::vector<std::pair<uint64_t, double>> improvementTrace;
 };
 
-/**
- * Round-start walk state handed to a FrontierObjective so screening
- * layers (the surrogate predictor, DESIGN.md §12) can judge proposals
- * against where the walk actually is. Both values are from the start
- * of the round; the temperature only decreases within a round, so
- * screening against the round-start value is conservative.
- */
-struct FrontierContext
-{
-    double currentScore = 0.0; ///< walk's current objective score
-    double temp = 0.0;         ///< relative temperature
-};
-
 /** FrontierObjective `full` classes (see Annealer::FrontierObjective). */
 /** Screened out at a partial-fidelity cut: the score is untrusted and
  *  the walk auto-rejects without consuming acceptance randomness. */
 constexpr uint8_t kScreenPartial = 0;
 /** Scored at full fidelity: trusted, judged by Metropolis. */
 constexpr uint8_t kScreenFull = 1;
-/** Vetoed by a surrogate model as confidently-bad: the walk treats it
- *  as a certain Metropolis reject and *does* consume the acceptance
- *  roll, so a correct veto leaves the trajectory and RNG stream
- *  identical to the unscreened walk's. */
-constexpr uint8_t kScreenVeto = 2;
 
 /**
  * The complete walk state after `iteration` completed steps.
@@ -104,20 +86,17 @@ class Annealer
   public:
     using Objective = std::function<double(const CoreConfig &)>;
     /**
-     * Batched objective (DESIGN.md §11/§12): scores a frontier of
-     * candidate configurations in one call, given the round-start
-     * walk context. On return `scores` and `full` are parallel to the
-     * input and each `full` entry is one of the kScreen* classes:
-     * kScreenFull (trusted score, judged by Metropolis),
-     * kScreenPartial (cut-screened; auto-reject, no acceptance
-     * randomness consumed), or kScreenVeto (surrogate-vetoed; treated
-     * as a certain Metropolis reject — one acceptance roll is burned
-     * so a correct veto preserves the unscreened trajectory). The
-     * Explorer plugs in predictor pre-screen + BatchSimulator::screen.
+     * Batched objective (DESIGN.md §11): scores a frontier of
+     * candidate configurations in one call. On return `scores` and
+     * `full` are parallel to the input and each `full` entry is one
+     * of the kScreen* classes: kScreenFull (trusted score, judged by
+     * Metropolis) or kScreenPartial (cut-screened; auto-reject, no
+     * acceptance randomness consumed). The Explorer plugs in
+     * BatchSimulator::screen.
      */
     using FrontierObjective = std::function<void(
-        const std::vector<CoreConfig> &, const FrontierContext &,
-        std::vector<double> &, std::vector<uint8_t> &)>;
+        const std::vector<CoreConfig> &, std::vector<double> &,
+        std::vector<uint8_t> &)>;
     /** Invoked with a consistent snapshot every `checkpointEvery`
      *  iterations during resume(). */
     using CheckpointHook = std::function<void(const AnnealerState &)>;

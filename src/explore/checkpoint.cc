@@ -292,33 +292,6 @@ parseMemo(LineReader &reader,
     return true;
 }
 
-void
-emitSurrogate(std::ostringstream &out, const std::string &surrogate)
-{
-    // Optional line; the model serialization is already a single
-    // space-separated token line, emitted verbatim after the tag.
-    if (!surrogate.empty())
-        out << "surrogate " << surrogate << '\n';
-}
-
-bool
-parseSurrogate(LineReader &reader, std::string &out)
-{
-    const auto *line = reader.expectVariadic("surrogate");
-    if (!line)
-        return true; // optional: absent is fine
-    if (line->size() < 2)
-        return false;
-    std::string joined;
-    for (size_t i = 1; i < line->size(); ++i) {
-        if (i > 1)
-            joined += ' ';
-        joined += (*line)[i];
-    }
-    out = std::move(joined);
-    return true;
-}
-
 bool
 parseAnnealerState(LineReader &reader, AnnealerState &out)
 {
@@ -412,7 +385,6 @@ serializeWorkloadCheckpoint(const WorkloadCheckpoint &ckpt,
     out << "adoptions " << ckpt.adoptions << '\n';
     emitAnnealerState(out, ckpt.anneal);
     emitMemo(out, ckpt.memo);
-    emitSurrogate(out, ckpt.surrogate);
     out << "end\n";
     return out.str();
 }
@@ -436,8 +408,7 @@ parseWorkloadCheckpoint(const std::string &content,
     if (!line || !parseU64((*line)[1], ckpt.adoptions))
         return false;
     if (!parseAnnealerState(reader, ckpt.anneal) ||
-        !parseMemo(reader, ckpt.memo) ||
-        !parseSurrogate(reader, ckpt.surrogate) || !reader.atEnd()) {
+        !parseMemo(reader, ckpt.memo) || !reader.atEnd()) {
         return false;
     }
     out = std::move(ckpt);
@@ -464,7 +435,6 @@ serializeSuiteCheckpoint(const SuiteCheckpoint &ckpt,
         out << "evals " << w.evals << '\n';
         out << "adoptions " << w.adoptions << '\n';
         emitMemo(out, w.memo);
-        emitSurrogate(out, w.surrogate);
     }
     out << "end\n";
     return out.str();
@@ -520,10 +490,8 @@ parseSuiteCheckpoint(const std::string &content,
         l = reader.expect("adoptions", 1);
         if (!l || !parseU64((*l)[1], w.adoptions))
             return false;
-        if (!parseMemo(reader, w.memo) ||
-            !parseSurrogate(reader, w.surrogate)) {
+        if (!parseMemo(reader, w.memo))
             return false;
-        }
         ckpt.workloads.push_back(std::move(w));
     }
     if (!reader.atEnd())

@@ -50,10 +50,6 @@ struct WorkloadCheckpoint
     uint64_t adoptions = 0; ///< foreign configurations adopted so far
     /** Evaluation memo: archKey -> IPT. */
     std::vector<std::pair<std::string, double>> memo;
-    /** Serialized surrogate model state (IpcPredictor::serialize());
-     *  empty when the run has no surrogate. Kept as an opaque string
-     *  so checkpoints stay ignorant of the model internals. */
-    std::string surrogate;
 };
 
 /** One workload's slice of the suite barrier state. */
@@ -64,8 +60,6 @@ struct SuiteWorkloadState
     uint64_t evals = 0;
     uint64_t adoptions = 0;
     std::vector<std::pair<std::string, double>> memo;
-    /** Serialized surrogate model state; empty when absent. */
-    std::string surrogate;
 };
 
 /** The round-barrier state of the whole suite. */

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "explore/predictor.hh"
 #include "obs/log.hh"
 #include "obs/tracer.hh"
 #include "sim/batch.hh"
@@ -48,12 +47,6 @@ memoToVector(const std::unordered_map<std::string, double> &memo)
 {
     return {memo.begin(), memo.end()};
 }
-
-/** Characterization length for the surrogate's workload features: a
- *  short fixed stream — the features only need to *separate*
- *  workloads, not measure them precisely, and the cost is paid once
- *  per workload-round. */
-constexpr uint64_t kSurrogateCharInstrs = 50000;
 
 } // namespace
 
@@ -115,12 +108,10 @@ Explorer::checkpointIdentity() const
     m.set("final_eval_instrs", opts_.finalEvalInstrs);
     // The frontier width changes the walk's trajectory (multiple-try
     // proposals), so scalar and batched runs must not resume each
-    // other's checkpoints. Likewise the surrogate (its vetoes change
-    // which proposals are simulated) and the workload-reduction
-    // mapping (it changes which workloads anneal at all).
-    m.set("xps_batch", envUInt("XPS_BATCH", 1));
-    m.set("xps_surrogate", envUInt("XPS_SURROGATE", 0));
-    m.set("xps_reduce_workloads", envUInt("XPS_REDUCE_WORKLOADS", 0));
+    // other's checkpoints. Likewise the workload-reduction mapping
+    // (it changes which workloads anneal at all).
+    m.set("xps_batch", static_cast<uint64_t>(opts_.batchWidth));
+    m.set("xps_reduce_workloads", opts_.reduceWorkloads);
     m.set("adoption_margin", formatHexDouble(opts_.adoptionMargin));
     m.set("gross_adoption_margin",
           formatHexDouble(opts_.grossAdoptionMargin));
@@ -179,48 +170,6 @@ Explorer::annealWorkloadRound(
     uint64_t evals = in.evals;
     uint64_t adoptions = in.adoptions;
 
-    // XPS_SURROGATE=1: an online ridge-regression model over (config
-    // knobs x workload characteristics) rides along with the walk
-    // (DESIGN.md §12). It learns from every full-fidelity simulation
-    // and pre-screens frontier proposals: a candidate it is
-    // confidently sure the Metropolis rule would reject is vetoed
-    // without being simulated. Its state round-trips through
-    // checkpoints so resumed runs veto identically.
-    const bool surrogate_on = envUInt("XPS_SURROGATE", 0) != 0;
-    Counter &ctr_sur_obs = metrics.counter("surrogate.observations");
-    Counter &ctr_sur_pred = metrics.counter("surrogate.predictions");
-    Counter &ctr_sur_veto = metrics.counter("surrogate.screened");
-    Histogram *err_hist =
-        Metrics::histogramsEnabled()
-            ? &metrics.histogram("surrogate.error_ppm")
-            : nullptr;
-    IpcPredictor pred;
-    Characteristics chars;
-    if (surrogate_on) {
-        obs::ScopedSpan char_span(
-            "surrogate.characterize", "explore", [&] {
-                return obs::Args()
-                    .add("workload", suite_[w].name)
-                    .add("instrs", kSurrogateCharInstrs);
-            });
-        chars = measureCharacteristics(suite_[w], kSurrogateCharInstrs);
-        if (!in.surrogate.empty() &&
-            !IpcPredictor::parse(in.surrogate, pred)) {
-            warn("explore[%s]: unparsable surrogate state; model "
-                 "restarts untrained", suite_[w].name.c_str());
-        }
-    }
-    auto observe_sim = [&](const CoreConfig &cfg, double ipt) {
-        if (!surrogate_on)
-            return;
-        const bool was_armed = pred.armed();
-        const double err =
-            pred.observe(IpcPredictor::features(cfg, chars), ipt);
-        ctr_sur_obs.add();
-        if (was_armed && err_hist)
-            err_hist->record(static_cast<uint64_t>(err * 1e6));
-    };
-
     auto objective = [&](const CoreConfig &cfg) {
         ProcPool::beat(); // liveness for the supervised mode
         const std::string key = archKey(cfg);
@@ -231,7 +180,6 @@ Explorer::annealWorkloadRound(
                                     trace);
         ++evals;
         memo.emplace(key, ipt);
-        observe_sim(cfg, ipt);
         return ipt;
     };
 
@@ -242,65 +190,37 @@ Explorer::annealWorkloadRound(
     params.traceLabel = suite_[w].name;
     Annealer annealer(space_, objective, params);
 
-    // XPS_BATCH > 1: score each round's proposals as a frontier
+    // batchWidth > 1: score each round's proposals as a frontier
     // through the batched simulator (shared decode + warmup,
     // successive-halving screen — DESIGN.md §11). The walk this
     // produces is a multiple-try variant of the scalar one, which is
     // why the width is part of the checkpoint identity.
-    const uint64_t batch_width = envUInt("XPS_BATCH", 1);
-    const uint32_t frontier_width = static_cast<uint32_t>(
-        std::max<uint64_t>(1, batch_width));
     std::unique_ptr<BatchSimulator> batch;
-    if ((batch_width > 1 || surrogate_on) && trace) {
+    if (opts_.batchWidth > 1 && trace) {
         BatchOptions bopts;
         bopts.measureInstrs = opts_.evalInstrs;
         batch = std::make_unique<BatchSimulator>(trace, bopts);
         const std::vector<ScreenCut> cuts =
-            BatchSimulator::defaultCuts(frontier_width);
+            BatchSimulator::defaultCuts(opts_.batchWidth);
         annealer.setFrontier(
             [&, cuts](const std::vector<CoreConfig> &cands,
-                      const FrontierContext &ctx,
                       std::vector<double> &scores,
                       std::vector<uint8_t> &full) {
                 ProcPool::beat();
                 scores.assign(cands.size(), 0.0);
                 full.assign(cands.size(), kScreenPartial);
-                // Fidelity ladder: memo -> surrogate veto -> short-
-                // window cuts -> full-length confirm. The memo is
-                // first (it persists across rounds and checkpoints);
-                // then the surrogate vetoes confidently-bad
-                // proposals without simulating them at all; the
-                // survivors go through the screened batch, and only
-                // full-length results are trusted or learned from.
+                // The memo (it persists across rounds and
+                // checkpoints) answers first; the rest go through
+                // the screened batch, and only full-length results
+                // are trusted.
                 std::vector<size_t> pos;
                 std::vector<CoreConfig> to_sim;
-                std::vector<std::vector<double>> phis;
                 for (size_t i = 0; i < cands.size(); ++i) {
                     const auto it = memo.find(archKey(cands[i]));
                     if (it != memo.end()) {
                         scores[i] = it->second;
                         full[i] = kScreenFull;
                         continue;
-                    }
-                    if (surrogate_on) {
-                        std::vector<double> phi =
-                            IpcPredictor::features(cands[i], chars);
-                        ctr_sur_pred.add();
-                        if (pred.confidentlyBelow(
-                                phi, ctx.currentScore, ctx.temp)) {
-                            scores[i] = pred.predict(phi);
-                            full[i] = kScreenVeto;
-                            ctr_sur_veto.add();
-                            obs::instant(
-                                "surrogate.veto", "explore", [&] {
-                                    return obs::Args()
-                                        .add("workload",
-                                             suite_[w].name)
-                                        .add("predicted", scores[i]);
-                                });
-                            continue;
-                        }
-                        phis.push_back(std::move(phi));
                     }
                     pos.push_back(i);
                     to_sim.push_back(cands[i]);
@@ -317,17 +237,9 @@ Explorer::annealWorkloadRound(
                     full[pos[j]] = kScreenFull;
                     ++evals;
                     memo.emplace(archKey(cands[pos[j]]), ipt);
-                    if (surrogate_on) {
-                        const bool was_armed = pred.armed();
-                        const double err = pred.observe(phis[j], ipt);
-                        ctr_sur_obs.add();
-                        if (was_armed && err_hist)
-                            err_hist->record(
-                                static_cast<uint64_t>(err * 1e6));
-                    }
                 }
             },
-            frontier_width);
+            opts_.batchWidth);
     }
 
     AnnealerState st;
@@ -343,12 +255,6 @@ Explorer::annealWorkloadRound(
             memo.insert(wc.memo.begin(), wc.memo.end());
             evals = wc.evals;
             adoptions = wc.adoptions;
-            if (surrogate_on && !wc.surrogate.empty() &&
-                !IpcPredictor::parse(wc.surrogate, pred)) {
-                warn("explore[%s]: unparsable checkpointed surrogate "
-                     "state; model restarts untrained",
-                     suite_[w].name.c_str());
-            }
             resumed = true;
             metrics.counter("checkpoint.workload_resumes").add();
             verbose("explore[%s] resuming round %d at iteration %llu",
@@ -368,8 +274,6 @@ Explorer::annealWorkloadRound(
             wc.evals = evals;
             wc.adoptions = adoptions;
             wc.memo = memoToVector(memo);
-            if (surrogate_on)
-                wc.surrogate = pred.serialize();
             atomicWriteFile(workloadCheckpointPath(w),
                             serializeWorkloadCheckpoint(wc, identity),
                             "checkpoint.write");
@@ -396,8 +300,6 @@ Explorer::annealWorkloadRound(
     out.evals = evals;
     out.adoptions = adoptions;
     out.memo = memoToVector(memo);
-    if (surrogate_on)
-        out.surrogate = pred.serialize();
     return out;
 }
 
@@ -445,12 +347,8 @@ Explorer::exploreAll()
     for (auto &e : evals)
         e.store(0);
     std::vector<uint64_t> adoptions(n, 0);
-    // Per-workload serialized surrogate model (empty when
-    // XPS_SURROGATE is off); carried across rounds and through the
-    // suite barrier checkpoint like the memo.
-    std::vector<std::string> surrogate(n);
 
-    // XPS_REDUCE_WORKLOADS=K: anneal only the K cluster
+    // reduceWorkloads = K: anneal only the K cluster
     // representatives of the suite's workload characteristics;
     // rep[w] == w marks a representative. Every workload — including
     // the skipped ones, on their representative's configuration —
@@ -458,7 +356,7 @@ Explorer::exploreAll()
     std::vector<size_t> rep(n);
     for (size_t w = 0; w < n; ++w)
         rep[w] = w;
-    const uint64_t reduce_k = envUInt("XPS_REDUCE_WORKLOADS", 0);
+    const uint64_t reduce_k = opts_.reduceWorkloads;
     if (reduce_k > 0 && reduce_k < n) {
         obs::ScopedSpan reduce_span("explore.reduce", "explore", [&] {
             return obs::Args()
@@ -472,9 +370,9 @@ Explorer::exploreAll()
             if (rep[w] != w)
                 ++skipped;
         }
-        metrics.counter("surrogate.workloads_reduced").add(skipped);
+        metrics.counter("explore.workloads_reduced").add(skipped);
         inform("workload reduction: annealing %zu of %zu workloads "
-               "(XPS_REDUCE_WORKLOADS=%llu)", n - skipped, n,
+               "(%llu clusters)", n - skipped, n,
                static_cast<unsigned long long>(reduce_k));
     }
 
@@ -501,7 +399,6 @@ Explorer::exploreAll()
                     adoptions[w] = sc.workloads[w].adoptions;
                     memo[w].insert(sc.workloads[w].memo.begin(),
                                    sc.workloads[w].memo.end());
-                    surrogate[w] = sc.workloads[w].surrogate;
                 }
                 start_round = sc.round;
                 phase = sc.phase;
@@ -539,7 +436,6 @@ Explorer::exploreAll()
             sc.workloads[w].evals = evals[w].load();
             sc.workloads[w].adoptions = adoptions[w];
             sc.workloads[w].memo = memoToVector(memo[w]);
-            sc.workloads[w].surrogate = surrogate[w];
         }
         atomicWriteFile(suiteCheckpointPath(),
                         serializeSuiteCheckpoint(sc, identity));
@@ -603,7 +499,6 @@ Explorer::exploreAll()
             in.evals = evals[w].load();
             in.adoptions = adoptions[w];
             in.memo = memoToVector(memo[w]);
-            in.surrogate = surrogate[w];
             return in;
         };
         auto installState = [&](size_t w, const SuiteWorkloadState &out) {
@@ -613,7 +508,6 @@ Explorer::exploreAll()
             adoptions[w] = out.adoptions;
             memo[w] = std::unordered_map<std::string, double>(
                 out.memo.begin(), out.memo.end());
-            surrogate[w] = out.surrogate;
         };
 
         for (int round = start_round; round < opts_.rounds; ++round) {

@@ -61,6 +61,16 @@ struct ExplorerOptions
      *  only to gross violations so diversity is preserved). */
     double grossAdoptionMargin = 0.08;
 
+    /** Annealing frontier width (DESIGN.md §11): each round scores
+     *  this many proposals in one batched, screened pass. 1 is the
+     *  scalar walk. Set from XPS_BATCH in the cached experiment
+     *  pipeline. */
+    uint32_t batchWidth = 1;
+    /** Anneal only this many cluster representatives of the suite
+     *  (reduceWorkloads()); 0 anneals every workload. Set from
+     *  XPS_REDUCE_WORKLOADS in the cached experiment pipeline. */
+    uint64_t reduceWorkloads = 0;
+
     /** Annealing iterations between checkpoint writes; 0 disables
      *  checkpointing entirely (the default — the cached experiment
      *  pipeline turns it on from XPS_CHECKPOINT_EVERY). */
@@ -119,7 +129,7 @@ class Explorer
     const SearchSpace &space() const { return space_; }
 
     /**
-     * The XPS_REDUCE_WORKLOADS=K mapping: cluster the suite's
+     * The ExplorerOptions::reduceWorkloads = K mapping: cluster the suite's
      * workload characteristics into K groups (fixed seed
      * kWorkloadClusterSeed, so the mapping is stable run to run) and
      * return, for each workload, the index of its cluster's

@@ -90,35 +90,6 @@ renderMetrics(std::ostringstream &out, const ReportPaths &paths)
     out << "  checkpoint writes  "
         << counterOf(metrics, "checkpoint.writes") << "\n";
 
-    // Surrogate screening (DESIGN.md §12), only when the run used it.
-    const uint64_t sur_pred = counterOf(metrics, "surrogate.predictions");
-    if (sur_pred > 0) {
-        const uint64_t sur_veto = counterOf(metrics, "surrogate.screened");
-        out << "  surrogate screen   " << sur_veto << " vetoes / "
-            << sur_pred << " predictions ("
-            << percent(static_cast<double>(sur_veto),
-                       static_cast<double>(sur_pred))
-            << " veto rate), "
-            << counterOf(metrics, "surrogate.observations")
-            << " model updates\n";
-        const json::Value *hists = metrics.find("histograms_ns");
-        const json::Value *err =
-            hists ? hists->find("surrogate.error_ppm") : nullptr;
-        if (err && err->isObject()) {
-            char row[160];
-            std::snprintf(
-                row, sizeof(row),
-                "  surrogate error    p50 %.2f%%  p95 %.2f%%  "
-                "max %.2f%% (predicted-vs-actual, %llu samples)\n",
-                err->numberOr("p50", 0) / 1e4,
-                err->numberOr("p95", 0) / 1e4,
-                err->numberOr("max", 0) / 1e4,
-                static_cast<unsigned long long>(
-                    err->numberOr("count", 0)));
-            out << row;
-        }
-    }
-
     const json::Value *histograms = metrics.find("histograms_ns");
     if (histograms && histograms->isObject() &&
         !histograms->fields.empty()) {
@@ -129,8 +100,6 @@ renderMetrics(std::ostringstream &out, const ReportPaths &paths)
                       "count", "p50", "p95", "p99", "max");
         out << row;
         for (const auto &[name, h] : histograms->fields) {
-            if (name == "surrogate.error_ppm")
-                continue; // ppm, not ns: rendered above
             std::snprintf(
                 row, sizeof(row),
                 "    %-18s %10llu %10s %10s %10s %10s\n", name.c_str(),

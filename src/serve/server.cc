@@ -181,10 +181,11 @@ ServerOptions::fromEnv()
         static_cast<double>(envUInt("XPS_SERVE_DRAIN_S", 5));
     opts.workers =
         static_cast<int>(envInt("XPS_SERVE_WORKERS", 2));
-    opts.heartbeatTimeoutSeconds = static_cast<double>(
-        envUInt("XPS_HEARTBEAT_S", 30));
-    opts.maxAttempts =
-        static_cast<int>(envInt("XPS_JOB_RETRIES", 3));
+    // The supervision knobs mean what they mean for the pipeline:
+    // XPS_JOB_RETRIES counts retries, so attempts = 1 + retries.
+    const SupervisorOptions sup = SupervisorOptions::fromEnv();
+    opts.heartbeatTimeoutSeconds = sup.heartbeatTimeoutSeconds;
+    opts.maxAttempts = sup.maxAttempts;
     opts.checkpointEvery = envUInt("XPS_SERVE_CKPT_EVERY", 8);
     // Fractional cadences matter here (CI scrapes fast test runs),
     // so this knob alone parses as a double.

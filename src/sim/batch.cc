@@ -28,8 +28,6 @@ BatchSimulator::BatchSimulator(
               static_cast<unsigned long long>(trace_->size()),
               static_cast<unsigned long long>(need));
     }
-    if (opts_.chunkInstrs == 0)
-        opts_.chunkInstrs = opts_.measureInstrs;
     decoded_ = decodedTrace(trace_);
 }
 
@@ -169,23 +167,14 @@ BatchSimulator::runBatch(const std::vector<CoreConfig> &configs,
 
         uint64_t pruned = 0;
         for (const auto &[target, keep] : phases) {
-            // Advance every live lane to the target in round-robin
-            // chunks so all lanes replay the same trace window while
-            // it is cache-hot.
-            bool moving = true;
-            while (moving) {
-                moving = false;
-                for (size_t l = 0; l < lanes; ++l) {
-                    if (!live[l])
-                        continue;
-                    const uint64_t done = core[l]->committedSoFar();
-                    if (done >= target)
-                        continue;
-                    core[l]->advance(std::min(opts_.chunkInstrs,
-                                              target - done));
-                    if (core[l]->committedSoFar() < target)
-                        moving = true;
-                }
+            // Advance each live lane straight to the target. Pausing
+            // between cycles changes no simulated state, so a lane
+            // reaches the target in exactly the state of an
+            // uninterrupted run.
+            for (size_t l = 0; l < lanes; ++l) {
+                const uint64_t done = core[l]->committedSoFar();
+                if (live[l] && done < target)
+                    core[l]->advance(target - done);
             }
             // Cut: rank live lanes by partial cycles (equal committed
             // count, so fewer cycles = strictly higher IPC); older

@@ -2,9 +2,9 @@
  * @file
  * Config-batched evaluation over a shared immutable trace
  * (DESIGN.md §11). A BatchSimulator holds one trace plus its decoded
- * sidecar and evaluates N candidate configurations in a single pass:
- * every lane is an independent OooCore advanced in lockstep chunks so
- * the trace window being replayed stays hot in cache across lanes.
+ * sidecar and evaluates N candidate configurations in one call: every
+ * lane is an independent OooCore, and the lanes run one after another
+ * between cuts.
  *
  * Three forms of sharing make the batch cheaper than N scalar runs —
  * none of them changes a single simulated bit:
@@ -56,11 +56,6 @@ struct BatchOptions
     /** UINT64_MAX means "equal to measureInstrs" (the repo-wide
      *  warmup convention, SimOptions::effectiveWarmup). */
     uint64_t warmupInstrs = UINT64_MAX;
-    /** Lockstep granularity: instructions each lane commits before
-     *  the next lane runs. Small enough that the active trace window
-     *  stays cache-resident across lanes, large enough that the
-     *  round-robin switch cost vanishes. */
-    uint64_t chunkInstrs = 2000;
 
     uint64_t
     effectiveWarmup() const

@@ -159,7 +159,7 @@ class OooCore
     SimStats finish() const { return collectStats(); }
 
     /** Committed instructions of the measurement window so far (the
-     *  lockstep coordinate of a batched run: every lane of a batch is
+     *  cut coordinate of a batched run: every lane of a batch is
      *  advanced to the same committed count before being compared). */
     uint64_t committedSoFar() const { return committed_; }
 

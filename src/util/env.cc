@@ -1,5 +1,6 @@
 #include "util/env.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <mutex>
@@ -139,6 +140,9 @@ Budget::get()
         b.threads = resolveThreads();
         b.checkpointEvery = envUInt("XPS_CHECKPOINT_EVERY", 64);
         b.supervise = envUInt("XPS_SUPERVISE", 0) != 0;
+        b.batchWidth = static_cast<uint32_t>(std::clamp<uint64_t>(
+            envUInt("XPS_BATCH", 1), 1, UINT32_MAX));
+        b.reduceWorkloads = envUInt("XPS_REDUCE_WORKLOADS", 0);
         return b;
     }();
     return budget;

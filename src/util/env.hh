@@ -14,16 +14,6 @@
  *                        walk. The width is part of the checkpoint
  *                        identity — scalar and batched runs do not
  *                        resume each other's checkpoints
- *   XPS_SURROGATE        1 = surrogate-guided screening
- *                        (explore/predictor.hh, DESIGN.md §12): an
- *                        online ridge-regression model trained on
- *                        every paid simulation vetoes confidently-bad
- *                        proposals before they reach the simulator.
- *                        Vetoes only skip work — every adopted score
- *                        still comes from a full-fidelity simulation.
- *                        Part of the checkpoint identity; the model
- *                        state rides in the checkpoint so resumed
- *                        runs screen bit-identically. Default 0
  *   XPS_REDUCE_WORKLOADS K = cluster the suite's workloads by their
  *                        measured characteristics (util/kmeans.hh,
  *                        pinned seed) and anneal only the K cluster
@@ -91,6 +81,11 @@
  *                        text-exposition snapshot at
  *                        <state-dir>/metrics.prom (default 0 = off)
  *
+ * XPS_BATCH and XPS_REDUCE_WORKLOADS resolve into Budget and reach the
+ * Explorer only through the cached experiment pipeline
+ * (experimentContext() copies them into ExplorerOptions). Hand-built
+ * ExplorerOptions and the serve daemon's explore jobs ignore them.
+ *
  * Malformed numeric values (garbage, overflow, and negatives where a
  * count is expected) warn once and fall back to the documented
  * default — a typo'd knob degrades a run instead of crashing it.
@@ -140,6 +135,11 @@ struct Budget
     /** Run exploration and matrix builds on the supervised
      *  process-isolated worker pool (XPS_SUPERVISE). */
     bool supervise;
+    /** Annealing frontier width, >= 1 (XPS_BATCH). */
+    uint32_t batchWidth;
+    /** Cluster representatives to anneal; 0 = every workload
+     *  (XPS_REDUCE_WORKLOADS). */
+    uint64_t reduceWorkloads;
 
     /** Resolve from the environment (with defaults from DESIGN.md). */
     static const Budget &get();

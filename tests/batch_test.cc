@@ -3,7 +3,7 @@
  * Referee tests for the batched simulation path (sim/batch.hh,
  * DESIGN.md §11). The central claim under test: batching changes the
  * *schedule* of simulation work — shared decode, shared warmup,
- * lockstep lanes, screening — but never a single simulated bit.
+ * sequential lanes, screening — but never a single simulated bit.
  * Every SimStats field of a full-fidelity batched lane must equal the
  * scalar simulate() result exactly, on every golden workload, for
  * every batch width the annealer uses.
@@ -206,8 +206,7 @@ TEST(Annealer, FrontierWidthOneMatchesScalar)
     Annealer frontier(space, objective, params);
     frontier.setFrontier(
         [&](const std::vector<CoreConfig> &cands,
-            const FrontierContext &, std::vector<double> &scores,
-            std::vector<uint8_t> &full) {
+            std::vector<double> &scores, std::vector<uint8_t> &full) {
             scores.clear();
             full.clear();
             for (const CoreConfig &c : cands) {
@@ -241,8 +240,7 @@ TEST(Annealer, FrontierWidthEightRunsFullSchedule)
     uint64_t calls = 0;
     annealer.setFrontier(
         [&](const std::vector<CoreConfig> &cands,
-            const FrontierContext &, std::vector<double> &scores,
-            std::vector<uint8_t> &full) {
+            std::vector<double> &scores, std::vector<uint8_t> &full) {
             ++calls;
             EXPECT_LE(cands.size(), 8u);
             scores.assign(cands.size(), 0.0);
@@ -264,9 +262,7 @@ TEST(Annealer, FrontierWidthEightRunsFullSchedule)
 // Degenerate screening width: a frontier of one lane with an explicit
 // cut schedule. keep >= lanes at every cut means the lone lane can
 // never be pruned — it must come back full fidelity, bit-identical to
-// the scalar run (the surrogate path runs width-1 frontiers through
-// screen() with an empty-or-trivial schedule, so this edge is load-
-// bearing).
+// the scalar run.
 TEST(BatchSimulator, ScreenWidthOneWithExplicitCut)
 {
     const WorkloadProfile &profile = spec2000int()[0];

@@ -122,46 +122,6 @@ TEST(PropTier, OracleMatchesAllCalibratedBenchmarks)
     }
 }
 
-// Surrogate tier (DESIGN.md §12): predictor-screened annealing chains
-// must adopt the same configuration as the unscreened chain (the
-// veto-burns-roll protocol preserves the trajectory) or a not-worse
-// one, and the adopted score must always come from a full-fidelity
-// simulation. A worse outcome is excused only when the referee proves
-// a false veto caused it (re-simulating every vetoed candidate) — the
-// model missing is allowed, the protocol losing merit on its own is
-// not. Each case runs two full annealing chains, so the budget is a
-// tenth of the scalar sweep's.
-TEST(PropTier, SurrogateScreenedChainMatchesScalar)
-{
-    const uint64_t iters = std::max<uint64_t>(
-        static_cast<uint64_t>(envInt("XPS_FUZZ_ITERS", 500)) / 10, 5);
-    const uint64_t seed =
-        static_cast<uint64_t>(envInt("XPS_FUZZ_SEED", 20080301)) ^
-        0x5a6bULL;
-    const FuzzReport rep =
-        fuzzSurrogate(iters, seed, XPS_PROP_CORPUS_DIR);
-    EXPECT_EQ(rep.iterations, iters);
-    EXPECT_EQ(rep.failures, 0u)
-        << rep.failures << " failing surrogate case(s); first "
-        << "(shrunk to " << shrinkDistance(rep.firstFailure)
-        << " fields from baseline): " << rep.firstFailureMessage
-        << "\n" << rep.firstFailure.serialize();
-}
-
-// Replay the surrogate tier's own committed reproductions.
-TEST(PropTier, SurrogateCorpusReplays)
-{
-    const auto cases = loadCorpus(XPS_PROP_CORPUS_DIR, "surr-");
-    for (size_t i = 0; i < cases.size(); ++i) {
-        const SurrogateChainResult r =
-            runSurrogateChainCase(cases[i]);
-        EXPECT_TRUE(r.passed)
-            << "surrogate corpus case " << i
-            << " regressed: " << r.failure << "\n"
-            << cases[i].serialize();
-    }
-}
-
 TEST(PropTier, InjectedWakeupBugCaughtAndShrunk)
 {
     InjectBugGuard guard;

@@ -3,18 +3,25 @@
  * Integration tests across modules: the full xp-scalar pipeline at a
  * miniature budget — characterize, explore, cross-evaluate, pick core
  * combinations, assign surrogates — plus determinism of the whole
- * chain and CSV persistence through real files.
+ * chain, CSV persistence through real files, and the Table 4 cache
+ * identity of the real bench pipeline.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "comm/combination.hh"
 #include "comm/perf_matrix.hh"
 #include "comm/subsetting.hh"
 #include "comm/surrogate.hh"
 #include "explore/explorer.hh"
+#include "obs/json.hh"
+#include "util/atomic_file.hh"
 #include "util/csv.hh"
 #include "workload/characteristics.hh"
 
@@ -209,4 +216,53 @@ TEST(Integration, SubsettingPipelineOnMeasuredCharacteristics)
     EXPECT_EQ(reps.size(), 2u);
     for (size_t r : reps)
         EXPECT_LT(r, p.suite.size());
+}
+
+namespace
+{
+
+/** counters[name] of an XPS_METRICS_JSON dump; -1 when absent. */
+double
+dumpedCounter(const std::string &path, const char *name)
+{
+    std::string text;
+    obs::json::Value v;
+    if (!readFile(path, text) || !obs::json::parse(text, v))
+        return -1;
+    const obs::json::Value *counters = v.find("counters");
+    return counters ? counters->numberOr(name, -1) : -1;
+}
+
+} // namespace
+
+TEST(Integration, DefaultRunRejectsTable4CachedUnderBatchWidth)
+{
+    // The bench pipeline caches Table 4 under the knobs that shape
+    // it. XPS_BATCH changes the walk, so a default run must recompute
+    // a Table 4 cached under XPS_BATCH=8 instead of serving it.
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("xps_integ_t4_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto run = [&](const std::string &knobs, const std::string &tag) {
+        const std::string cmd =
+            "env -i XPS_RESULTS_DIR=" + dir +
+            " XPS_EVAL_INSTRS=2000 XPS_SA_ITERS=12"
+            " XPS_FINAL_INSTRS=4000 XPS_THREADS=2"
+            " XPS_CHECKPOINT_EVERY=0 XPS_METRICS_JSON=" + dir + "/" +
+            tag + ".json " + knobs + " " XPS_TABLE4_BIN " > " + dir +
+            "/" + tag + ".log 2>&1";
+        EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+        return dir + "/" + tag + ".json";
+    };
+    EXPECT_EQ(dumpedCounter(run("XPS_BATCH=8", "batched"),
+                            "cache.table4_misses"),
+              1);
+    EXPECT_EQ(dumpedCounter(run("", "default"), "cache.table4_misses"),
+              1);
+    // The default run's own cache is then served as usual.
+    EXPECT_EQ(dumpedCounter(run("", "again"), "cache.table4_hits"), 1);
+    std::filesystem::remove_all(dir);
 }

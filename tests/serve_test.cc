@@ -552,7 +552,7 @@ TEST(ServeDegraded, QuarantinedMatrixIsMarkedAndNeverCached)
     // row deterministically while the sibling row and the outer job
     // complete.
     d.env = {{"XPS_FAULTS", "worker.start:crash:2"},
-             {"XPS_JOB_RETRIES", "1"}};
+             {"XPS_JOB_RETRIES", "0"}};
     d.start();
 
     const char *req =
@@ -583,6 +583,65 @@ TEST(ServeDegraded, QuarantinedMatrixIsMarkedAndNeverCached)
         << intact;
     d.stopGracefully();
     fs::remove_all(dir);
+}
+
+// --- environment: the daemon reads the pipeline's knobs the same way ------
+
+TEST(ServeEnv, ZeroJobRetriesBootsAndRunsEachJobOnce)
+{
+    // XPS_JOB_RETRIES counts retries, as in the one-shot pipeline: 0
+    // means one attempt per job, not a pool with no attempts at all.
+    const std::string dir = shortTempDir();
+    Daemon d(dir);
+    d.flags = {"--workers", "1"};
+    d.env = {{"XPS_FAULTS", "worker.start:crash:1"},
+             {"XPS_JOB_RETRIES", "0"}};
+    d.start();
+
+    // Visit 1 of worker.start is this job's child: with one attempt
+    // the crash fails the job instead of being retried.
+    const std::string failed = rpc(d.sock, kWhatifReq);
+    EXPECT_EQ(statusOf(failed), "error") << failed;
+    EXPECT_NE(failed.find("after 1 attempts"), std::string::npos)
+        << failed;
+    // The fault arm is spent: the same request now runs once and
+    // succeeds.
+    const std::string ok = rpc(d.sock, kWhatifReq);
+    EXPECT_EQ(statusOf(ok), "ok") << ok;
+
+    const std::string stats = rpc(d.sock, "{\"op\":\"stats\"}");
+    EXPECT_EQ(numField(stats, "failed", -1), 1.0) << stats;
+    EXPECT_EQ(numField(stats, "completed", -1), 1.0) << stats;
+    d.stopGracefully();
+    fs::remove_all(dir);
+}
+
+TEST(ServeEnv, ExplorerSpeedKnobsDoNotReachExploreJobs)
+{
+    // The store keys explore results by the request alone, so the
+    // daemon's own XPS_BATCH / XPS_REDUCE_WORKLOADS must not change
+    // what an explore job computes.
+    const char *req =
+        "{\"op\":\"explore\",\"id\":\"e\","
+        "\"workloads\":[\"gzip\",\"mcf\"],\"instrs\":4000,"
+        "\"sa_iters\":48,\"rounds\":2,\"seed\":11}";
+    auto exploreUnder =
+        [&](std::vector<std::pair<std::string, std::string>> env) {
+            const std::string dir = shortTempDir();
+            Daemon d(dir);
+            d.flags = {"--workers", "1"};
+            d.env = std::move(env);
+            d.start();
+            const std::string resp = rpc(d.sock, req, 300.0);
+            EXPECT_EQ(statusOf(resp), "ok") << resp;
+            d.stopGracefully();
+            fs::remove_all(dir);
+            return resultsOf(resp);
+        };
+    const std::string plain = exploreUnder({});
+    ASSERT_FALSE(plain.empty());
+    EXPECT_EQ(exploreUnder({{"XPS_BATCH", "8"}}), plain);
+    EXPECT_EQ(exploreUnder({{"XPS_REDUCE_WORKLOADS", "1"}}), plain);
 }
 
 // --- observability: metrics op, Prometheus export, traced flows ------------
