@@ -95,11 +95,6 @@ main(int argc, char **argv)
 {
     const std::string out =
         argc > 1 ? argv[1] : std::string("BENCH_results.json");
-    // Latency distributions (DESIGN.md §10) ride along with the
-    // timings: one clock read per simulate()/anneal step, noise at
-    // these instruction budgets, and both sides of every comparison
-    // pay it equally.
-    Metrics::enableHistograms();
     constexpr uint64_t kMeasure = 20000;
     constexpr uint64_t kWarmup = 20000;
     constexpr int kSimReps = 9;

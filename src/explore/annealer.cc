@@ -30,7 +30,6 @@ exitIfStopRequested(const char *label, uint64_t iter)
     inform("anneal[%s]: stop requested; exiting at iteration %llu "
            "with a durable checkpoint", label,
            static_cast<unsigned long long>(iter));
-    obs::flushTrace();
     std::exit(kGracefulExitCode);
 }
 
@@ -82,15 +81,14 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
     Counter &ctr_rollbacks = metrics.counter("anneal.rollbacks");
     Counter &ctr_evals = metrics.counter("anneal.evaluations");
 
-    // Observability (both off by default; each costs one predicted
-    // branch per step when disabled). Handles are hoisted out of the
-    // loop; the per-step instants carry the workload label so
-    // xps-report can reconstruct per-workload convergence.
+    // Observability: the always-on anneal.step histogram, and trace
+    // instants that cost one predicted branch per step when tracing
+    // is off. Handles are hoisted out of the loop; the per-step
+    // instants carry the workload label so xps-report can reconstruct
+    // per-workload convergence.
     const char *label =
         params_.traceLabel.empty() ? "anneal" : params_.traceLabel.c_str();
-    Histogram *step_histogram =
-        Metrics::histogramsEnabled() ? &metrics.histogram("anneal.step")
-                                     : nullptr;
+    Histogram &step_histogram = metrics.histogram("anneal.step");
     obs::ScopedSpan resume_span("anneal.resume", "anneal", [&] {
         return obs::Args()
             .add("workload", label)
@@ -193,8 +191,7 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
         while (iter < params_.iterations) {
             const uint64_t round = std::min<uint64_t>(
                 frontierWidth_, params_.iterations - iter);
-            const uint64_t round_begin =
-                step_histogram ? obs::detail::nowNs() : 0;
+            const uint64_t round_begin = obs::detail::nowNs();
 
             // Draw the whole frontier first (RNG order: all draws,
             // then all acceptance rolls — at width 1 that is exactly
@@ -246,12 +243,10 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
                 metropolis(iter, cands[k], score_of[k]);
             }
 
-            if (step_histogram) {
-                const uint64_t per =
-                    (obs::detail::nowNs() - round_begin) / round;
-                for (uint64_t k = 0; k < round; ++k)
-                    step_histogram->record(per);
-            }
+            const uint64_t per =
+                (obs::detail::nowNs() - round_begin) / round;
+            for (uint64_t k = 0; k < round; ++k)
+                step_histogram.record(per);
             if (checkpointEvery > 0 && hook &&
                 (iter / checkpointEvery >
                      (iter - round) / checkpointEvery ||
@@ -268,8 +263,7 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
     for (uint64_t iter = state.iteration + 1;
          iter <= params_.iterations; ++iter) {
         temp *= cooling;
-        const uint64_t step_begin =
-            step_histogram ? obs::detail::nowNs() : 0;
+        const uint64_t step_begin = obs::detail::nowNs();
 
         CoreConfig cand;
         bool have = false;
@@ -278,8 +272,7 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
         if (have)
             metropolis(iter, cand, objective_(cand));
         // else: stuck corner; cool and retry next iteration
-        if (step_histogram)
-            step_histogram->record(obs::detail::nowNs() - step_begin);
+        step_histogram.record(obs::detail::nowNs() - step_begin);
 
         if (checkpointEvery > 0 && hook &&
             (iter % checkpointEvery == 0 ||

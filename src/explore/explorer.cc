@@ -694,7 +694,6 @@ Explorer::exploreAll()
             if (ckpt && stopRequested()) {
                 inform("explore: stop requested; round %d barrier is "
                        "durable, exiting gracefully", round + 1);
-                obs::flushTrace();
                 std::exit(kGracefulExitCode);
             }
         }

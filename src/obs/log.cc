@@ -1,27 +1,46 @@
 #include "obs/log.hh"
 
-#include <fcntl.h>
-#include <pthread.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <chrono>
+#include <cstdarg>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
+#include <cstdlib>
 #include <map>
 #include <mutex>
-#include <vector>
+#include <utility>
 
 #include "obs/json.hh"
-#include "util/atomic_file.hh"
+#include "obs/shard_sink.hh"
 #include "util/env.hh"
+#include "util/logging.hh"
 #include "util/metrics.hh"
 
 namespace xps
 {
+
+namespace detail
+{
+
+std::string
+format(const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    va_list ap2;
+    va_copy(ap2, ap);
+    int n = std::vsnprintf(nullptr, 0, fmt, ap);
+    va_end(ap);
+    std::string out;
+    if (n > 0) {
+        out.resize(static_cast<size_t>(n));
+        std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
+    }
+    va_end(ap2);
+    return out;
+}
+
+} // namespace detail
+
 namespace obs
 {
 namespace log
@@ -36,13 +55,11 @@ int gMinLevel = static_cast<int>(Level::Info);
 namespace
 {
 
-/** Buffered events drain to the shard at this cadence even under
- *  light load, so a killed worker loses at most a recent tail. */
-constexpr uint64_t kFlushIntervalNs = 250ull * 1000 * 1000;
+using obs::detail::ShardSink;
 
-/** Logs are cold relative to spans: a small buffer keeps the tail a
- *  crash can lose short without measurable write amplification. */
-constexpr size_t kBufferBytes = 16 * 1024;
+/** JSON events kept per (component, level) per second. */
+constexpr uint64_t kRatePerSec = 200;
+constexpr uint64_t kWindowNs = 1000ull * 1000 * 1000;
 
 /** One rate-limit window per (component, level). */
 struct RateWindow
@@ -52,30 +69,29 @@ struct RateWindow
     uint64_t suppressed = 0;
 };
 
-/**
- * Per-process logger state. Guarded by `mutex` except inside the
- * fork-child handler, which runs while the (single-threaded, by the
- * ProcPool contract) child owns the process outright.
- *
- * Internal diagnostics use std::fprintf directly, never inform()/
- * warn(): those are bridged back into this logger, and re-entering
- * emit() under `mutex` would deadlock.
- */
+struct LogState;
+LogState &state();
+
+/** The JSON stream's sink and rate windows, both guarded by the
+ *  sink's mutex. */
 struct LogState
 {
-    std::mutex mutex;
-    std::string mergedPath;
-    std::string shardDir;
-    std::string pending; ///< serialized JSONL not yet in the shard
-    uint64_t lastFlushNs = 0;
-    int fd = -1;
-    pid_t originPid = 0; ///< the process that merges at exit
-    bool atexitArmed = false;
-    bool forkHookArmed = false;
-    bool writeFailed = false;
-    bool suppressMerge = false; ///< XPS_LOG_MERGE=0: shard-only
-    uint64_t ratePerSec = 200;
-    std::map<std::string, RateWindow> windows;
+    // Logs are cold relative to spans: a small buffer keeps the tail
+    // a crash can lose short without measurable write amplification.
+    ShardSink sink{{
+        .name = "log",
+        .shardPrefix = "log.",
+        .head = "",
+        .sep = "\n",
+        .tail = "",
+        .bufferBytes = 16 * 1024,
+        .dropCounter = "log.dropped_events",
+        .enabled = &detail::gEnabled,
+        .merge = [] { mergeLog(); },
+        .flush = flushLog,
+        .afterFork = [] { state().windows.clear(); },
+    }};
+    std::map<std::pair<std::string, Level>, RateWindow> windows;
 };
 
 LogState &
@@ -85,156 +101,84 @@ state()
     return *s;
 }
 
-std::atomic<uint32_t> gNextTid{0};
+std::mutex gStderrMutex;
 
-uint32_t
-threadId()
+// Timestamps come from the trace clock (obs::detail::nowNs(),
+// including its test shim): log and span timestamps line up in
+// post-mortems by construction.
+using obs::detail::nowNs;
+
+/** Level names, indexed by Level. */
+constexpr const char *kLevelNames[] = {"debug", "info", "warn", "error"};
+
+const char *
+levelName(Level level)
 {
-    thread_local uint32_t tid =
-        gNextTid.fetch_add(1, std::memory_order_relaxed) + 1;
-    return tid;
+    return kLevelNames[static_cast<int>(level)];
 }
 
-uint64_t
-nowNs()
+/** Parse a level name; false (out unchanged) on garbage. */
+bool
+parseLevel(const std::string &name, Level &out)
 {
-    // The trace clock (including its test shim): log and span
-    // timestamps line up in post-mortems by construction.
-    return obs::detail::nowNs();
-}
-
-std::string
-shardPathFor(const LogState &s, pid_t pid)
-{
-    return s.shardDir + "/log." + std::to_string(pid) + ".jsonl";
-}
-
-/** Write `pending` to this process's shard. Caller holds the lock. */
-void
-flushLocked(LogState &s, uint64_t tsNs)
-{
-    s.lastFlushNs = tsNs;
-    if (s.pending.empty() || s.writeFailed)
-        return;
-    if (s.fd < 0) {
-        std::error_code ec;
-        std::filesystem::create_directories(s.shardDir, ec);
-        s.fd = ::open(shardPathFor(s, ::getpid()).c_str(),
-                      O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-        if (s.fd < 0) {
-            std::fprintf(stderr,
-                         "[warn] log: cannot open shard %s: %s; "
-                         "dropping events\n",
-                         shardPathFor(s, ::getpid()).c_str(),
-                         std::strerror(errno));
-            s.writeFailed = true;
-            s.pending.clear();
-            return;
+    for (int i = 0; i < 4; ++i) {
+        if (name == kLevelNames[i]) {
+            out = static_cast<Level>(i);
+            return true;
         }
     }
-    size_t off = 0;
-    while (off < s.pending.size()) {
-        const ssize_t n = ::write(s.fd, s.pending.data() + off,
-                                  s.pending.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            std::fprintf(stderr,
-                         "[warn] log: shard write failed: %s; "
-                         "dropping events\n",
-                         std::strerror(errno));
-            s.writeFailed = true;
-            break;
-        }
-        off += static_cast<size_t>(n);
-    }
-    s.pending.clear();
+    return false;
 }
 
-/** See tracer.cc childAfterFork: the inherited fd and buffer belong
- *  to the parent; the child starts a clean shard of its own. */
+/** Emit one warn event in place of a window's suppressed events.
+ *  Caller holds the sink lock. */
 void
-childAfterFork()
+summarizeLocked(LogState &s, const std::string &component,
+                RateWindow &w, uint64_t tsNs)
 {
-    LogState &s = state();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.pending.clear();
-    s.writeFailed = false;
-    s.windows.clear();
-}
-
-void
-mergeAtExit()
-{
-    LogState &s = state();
-    if (!detail::gEnabled)
+    if (w.suppressed == 0)
         return;
-    if (::getpid() == s.originPid && !s.suppressMerge)
-        mergeLog();
-    else
-        flushLog(); // child or shard-only mode: keep the events
+    char line[256];
+    std::snprintf(
+        line, sizeof(line),
+        "{\"ts\":%.3f,\"level\":\"warn\",\"component\":\"log\","
+        "\"msg\":\"rate limit: suppressed %llu event(s) from %s\","
+        "\"pid\":%d,\"tid\":%u}\n",
+        static_cast<double>(tsNs) / 1000.0,
+        static_cast<unsigned long long>(w.suppressed),
+        json::escape(component).c_str(), static_cast<int>(::getpid()),
+        obs::detail::threadId());
+    s.sink.appendLocked(line, tsNs);
+    w.suppressed = 0;
 }
 
+/** Summarize every window still holding suppressed events: no later
+ *  event may come to roll them. Caller holds the sink lock. */
 void
-armHooksLocked(LogState &s)
+summarizeAllLocked(LogState &s, uint64_t tsNs)
 {
-    if (!s.forkHookArmed) {
-        ::pthread_atfork(nullptr, nullptr, childAfterFork);
-        s.forkHookArmed = true;
-    }
-    if (!s.atexitArmed) {
-        std::atexit(mergeAtExit);
-        s.atexitArmed = true;
-    }
+    for (auto &[key, w] : s.windows)
+        summarizeLocked(s, key.first, w, tsNs);
 }
 
-/** Arm from the environment on program start-up, like the tracer:
- *  no call sites to sprinkle, one knob to flip. */
+/** Resolve the floor and arm the JSON stream from the environment on
+ *  program start-up, like the tracer: no call sites to sprinkle. */
 const bool gEnvArmed = [] {
-    const std::string path = envString("XPS_LOG_JSON", "");
-    if (path.empty())
-        return false;
     Level level = Level::Info;
     const std::string name = envString("XPS_LOG_LEVEL", "info");
     if (!parseLevel(name, level))
         std::fprintf(stderr,
                      "[warn] XPS_LOG_LEVEL: unknown level '%s'; "
                      "using info\n", name.c_str());
+    detail::gMinLevel = static_cast<int>(level);
+    const std::string path = envString("XPS_LOG_JSON", "");
+    if (path.empty())
+        return false;
     configureLogging(path, level);
     return true;
 }();
 
 } // namespace
-
-const char *
-levelName(Level level)
-{
-    switch (level) {
-      case Level::Debug: return "debug";
-      case Level::Info: return "info";
-      case Level::Warn: return "warn";
-      case Level::Error: return "error";
-    }
-    return "info";
-}
-
-bool
-parseLevel(const std::string &name, Level &out)
-{
-    if (name == "debug")
-        out = Level::Debug;
-    else if (name == "info")
-        out = Level::Info;
-    else if (name == "warn")
-        out = Level::Warn;
-    else if (name == "error")
-        out = Level::Error;
-    else
-        return false;
-    return true;
-}
 
 namespace detail
 {
@@ -243,249 +187,124 @@ void
 emit(Level level, const char *component, const std::string &msg,
      std::string fieldsJson)
 {
-    LogState &s = state();
     const uint64_t tsNs = nowNs();
     // The request context (tracer.cc) is guarded by its own leaf
     // mutex; read it before taking ours so lock order stays trivial.
     const std::string rid = requestContext();
-
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (!gEnabled)
-        return;
-
-    // Rate limit per (component, level): a crash loop must not turn
-    // the log into its own outage. Window roll emits one summary.
-    if (s.ratePerSec > 0) {
-        RateWindow &w =
-            s.windows[std::string(component) + "/" +
-                      levelName(level)];
-        if (tsNs - w.startNs >= 1000ull * 1000 * 1000) {
-            if (w.suppressed > 0) {
-                char line[256];
-                std::snprintf(
-                    line, sizeof(line),
-                    "{\"ts\":%.3f,\"level\":\"warn\",\"component\":"
-                    "\"log\",\"msg\":\"rate limit: suppressed %llu "
-                    "event(s) from %s\",\"pid\":%d,\"tid\":%u}\n",
-                    static_cast<double>(tsNs) / 1000.0,
-                    static_cast<unsigned long long>(w.suppressed),
-                    component, static_cast<int>(::getpid()),
-                    threadId());
-                s.pending += line;
-            }
-            w.startNs = tsNs;
-            w.count = 0;
-            w.suppressed = 0;
-        }
-        if (++w.count > s.ratePerSec) {
-            ++w.suppressed;
-            Metrics::global().counter("log.suppressed").add();
-            return;
-        }
-    }
-
     char head[128];
     const int head_len = std::snprintf(
         head, sizeof(head), "{\"ts\":%.3f,\"level\":\"%s\",",
         static_cast<double>(tsNs) / 1000.0, levelName(level));
-    s.pending.append(head, static_cast<size_t>(head_len));
-    s.pending += "\"component\":\"";
-    s.pending += json::escape(component);
-    s.pending += "\",\"msg\":\"";
-    s.pending += json::escape(msg);
-    s.pending += "\"";
+    std::string line(head, static_cast<size_t>(head_len));
+    line += "\"component\":\"";
+    line += json::escape(component);
+    line += "\",\"msg\":\"";
+    line += json::escape(msg);
+    line += "\"";
     char mid[64];
     const int mid_len = std::snprintf(
         mid, sizeof(mid), ",\"pid\":%d,\"tid\":%u",
-        static_cast<int>(::getpid()), threadId());
-    s.pending.append(mid, static_cast<size_t>(mid_len));
+        static_cast<int>(::getpid()), obs::detail::threadId());
+    line.append(mid, static_cast<size_t>(mid_len));
     if (!rid.empty()) {
-        s.pending += ",\"rid\":\"";
-        s.pending += json::escape(rid);
-        s.pending += "\"";
+        line += ",\"rid\":\"";
+        line += json::escape(rid);
+        line += "\"";
     }
     if (!fieldsJson.empty()) {
-        s.pending += ",\"fields\":";
-        s.pending += fieldsJson;
+        line += ",\"fields\":";
+        line += fieldsJson;
     }
-    s.pending += "}\n";
-    if (s.pending.size() >= kBufferBytes ||
-        tsNs - s.lastFlushNs >= kFlushIntervalNs)
-        flushLocked(s, tsNs);
+    line += "}\n";
+
+    LogState &s = state();
+    std::lock_guard<std::mutex> lock(s.sink.mutex);
+    if (!gEnabled)
+        return;
+    // Rate limit per (component, level): a crash loop must not turn
+    // the log into its own outage. A window roll summarizes.
+    RateWindow &w = s.windows[{component, level}];
+    if (tsNs - w.startNs >= kWindowNs) {
+        summarizeLocked(s, component, w, tsNs);
+        w.startNs = tsNs;
+        w.count = 0;
+    }
+    if (++w.count > kRatePerSec) {
+        ++w.suppressed;
+        Metrics::global().counter("log.suppressed").add();
+        return;
+    }
+    s.sink.appendLocked(line, tsNs);
+}
+
+void
+report(Level level, const char *tag, const std::string &msg)
+{
+    if (enabled())
+        emit(level, "log", msg, std::string());
+    std::lock_guard<std::mutex> lock(gStderrMutex);
+    std::fprintf(stderr, "[%s] %s\n", tag, msg.c_str());
+}
+
+void
+die(const char *tag, const std::string &msg, bool abortProcess)
+{
+    report(Level::Error, tag, msg);
+    flushLog();
+    if (abortProcess)
+        std::abort();
+    std::exit(1);
 }
 
 } // namespace detail
 
 void
-configureLogging(const std::string &mergedPath, Level minLevel,
-                 uint64_t ratePerSec)
+configureLogging(const std::string &mergedPath, Level minLevel)
 {
     LogState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.mergedPath = mergedPath;
-    s.shardDir = mergedPath + ".shards";
-    s.pending.clear();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.writeFailed = false;
+    std::lock_guard<std::mutex> lock(s.sink.mutex);
     s.windows.clear();
-    s.ratePerSec = ratePerSec > 0 ? ratePerSec
-                                  : envUInt("XPS_LOG_RATE", 200);
-    s.suppressMerge = envUInt("XPS_LOG_MERGE", 1) == 0;
-    s.originPid = ::getpid();
-    s.lastFlushNs = nowNs();
-    armHooksLocked(s);
+    s.sink.armLocked(mergedPath, nowNs());
     detail::gMinLevel = static_cast<int>(minLevel);
-    detail::gEnabled = true;
 }
 
 void
 disableLogging()
 {
     LogState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    detail::gEnabled = false;
-    s.pending.clear();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.mergedPath.clear();
-    s.shardDir.clear();
-    s.windows.clear();
+    std::lock_guard<std::mutex> lock(s.sink.mutex);
+    s.sink.disarmLocked();
 }
 
 void
 flushLog()
 {
     LogState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (detail::gEnabled)
-        flushLocked(s, nowNs());
-}
-
-std::string
-logPath()
-{
-    LogState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.mergedPath;
+    std::lock_guard<std::mutex> lock(s.sink.mutex);
+    if (!detail::gEnabled)
+        return;
+    const uint64_t now = nowNs();
+    summarizeAllLocked(s, now);
+    s.sink.flushLocked(now);
 }
 
 LogMergeStats
 mergeLog()
 {
-    LogMergeStats stats;
     LogState &s = state();
-    std::string mergedPath, shardDir;
     {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (!detail::gEnabled)
-            return stats;
-        flushLocked(s, nowNs());
-        mergedPath = s.mergedPath;
-        shardDir = s.shardDir;
-        if (s.fd >= 0)
-            ::close(s.fd);
-        s.fd = -1;
-        // Disarm before merging: the merge itself informs (bridged
-        // back here) and later atexit stragglers must not recreate
-        // the shard directory we are about to remove.
-        detail::gEnabled = false;
+        std::lock_guard<std::mutex> lock(s.sink.mutex);
+        if (detail::gEnabled)
+            summarizeAllLocked(s, nowNs());
     }
-
-    struct Line
-    {
-        double ts;
-        std::string text;
-    };
-    std::vector<Line> lines;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(shardDir, ec);
-    if (!ec) {
-        std::vector<std::filesystem::path> shards;
-        for (const auto &entry : it) {
-            const std::string base = entry.path().filename().string();
-            if (base.rfind("log.", 0) == 0)
-                shards.push_back(entry.path());
-        }
-        std::sort(shards.begin(), shards.end());
-        for (const auto &shard : shards) {
-            std::string content;
-            if (!readFile(shard.string(), content)) {
-                ++stats.tornShards;
-                continue;
-            }
-            size_t valid = 0;
-            size_t pos = 0;
-            while (pos < content.size()) {
-                size_t nl = content.find('\n', pos);
-                if (nl == std::string::npos)
-                    nl = content.size();
-                std::string line = content.substr(pos, nl - pos);
-                pos = nl + 1;
-                if (line.empty())
-                    continue;
-                json::Value ev;
-                // Count-and-skip, never corrupt: a line must parse
-                // as a complete event or it is a torn tail.
-                if (!json::parse(line, ev) || !ev.isObject() ||
-                    !ev.find("ts") ||
-                    ev.find("ts")->type !=
-                        json::Value::Type::Number ||
-                    !ev.find("level") || !ev.find("msg")) {
-                    ++stats.tornLines;
-                    continue;
-                }
-                lines.push_back(
-                    {ev.find("ts")->number, std::move(line)});
-                ++valid;
-            }
-            if (valid == 0)
-                ++stats.tornShards;
-            else
-                ++stats.shards;
-        }
-    }
-    std::stable_sort(lines.begin(), lines.end(),
-                     [](const Line &a, const Line &b) {
-                         return a.ts < b.ts;
-                     });
-    stats.lines = lines.size();
-
-    std::string out;
-    out.reserve(lines.size() * 160);
-    for (const Line &line : lines) {
-        out += line.text;
-        out += '\n';
-    }
-    const std::string tmp =
-        mergedPath + ".tmp." + std::to_string(::getpid());
-    FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr, "[warn] log: cannot write %s: %s\n",
-                     tmp.c_str(), std::strerror(errno));
-        return stats;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), mergedPath.c_str()) != 0) {
-        std::fprintf(stderr, "[warn] log: rename %s -> %s failed: %s\n",
-                     tmp.c_str(), mergedPath.c_str(),
-                     std::strerror(errno));
-        std::remove(tmp.c_str());
-        return stats;
-    }
-    std::filesystem::remove_all(shardDir, ec);
-
-    Metrics &metrics = Metrics::global();
-    metrics.counter("log.shards_merged").add(stats.shards);
-    metrics.counter("log.lines_merged").add(stats.lines);
-    if (stats.tornShards)
-        metrics.counter("log.shards_torn").add(stats.tornShards);
-    if (stats.tornLines)
-        metrics.counter("log.lines_torn").add(stats.tornLines);
-    return stats;
+    const ShardSink::MergeCounts counts =
+        s.sink.merge(nowNs(), [](const json::Value &ev) {
+            return ev.find("level") && ev.find("msg");
+        });
+    if (counts.published)
+        Metrics::global().counter("log.lines_merged").add(counts.lines);
+    return {counts.shards, counts.lines, counts.tornShards,
+            counts.tornLines};
 }
 
 } // namespace log

@@ -1,15 +1,25 @@
 /**
  * @file
- * Structured JSON logging for the serve pipeline (DESIGN.md §14).
+ * The one logger (DESIGN.md §14). util/logging's inform(), verbose(),
+ * warn(), fatal() and panic() and the field-rich events subsystems
+ * emit at their seams are all events of this log, at levels
+ * debug < info < warn < error, under one floor: XPS_LOG_LEVEL
+ * (default info).
  *
- * When XPS_LOG_JSON names a file (or configureLogging() is called),
- * every process of a run appends structured log events — one JSON
- * object per line — to a per-pid shard `<log>.shards/log.<pid>.jsonl`.
- * At exit the process that armed logging merges every shard into one
- * timestamp-sorted JSONL stream at XPS_LOG_JSON, validating each line
- * (obs/json.hh) and counting-and-skipping torn tails exactly like the
- * trace merger: a worker killed mid-write can tear at most its own
- * last line, never the merged output.
+ * stderr: inform (info), verbose (debug, printed "[verb]"), warn, and
+ * fatal / panic (error) print "[kind] msg" when their level passes
+ * the floor. fatal and panic always print, then exit(1) / abort().
+ *
+ * JSON stream: when XPS_LOG_JSON names a file (or configureLogging()
+ * is called), every process also appends each event that passes the
+ * floor — one JSON object per line — to a per-pid shard
+ * `<log>.shards/log.<pid>.jsonl`, through the obs/shard_sink.hh sink
+ * the tracer uses too. At exit the process that armed logging merges
+ * every shard into one timestamp-sorted JSONL stream at XPS_LOG_JSON,
+ * counting-and-skipping torn tails exactly like the trace merger: a
+ * worker killed mid-write can tear at most its own last line, never
+ * the merged output. util/logging's messages land in the stream as
+ * component "log".
  *
  * Event schema (one line):
  *   {"ts": <monotonic µs, shared with the trace clock>,
@@ -18,25 +28,16 @@
  *    "rid": "..."          — when a request context is set (tracer.hh)
  *    "fields": {...}}      — optional structured payload
  *
- * util/logging's inform()/warn()/verbose()/fatal() are bridged here
- * (component "log"), so the pre-existing ad-hoc stderr messages of
- * serve/procpool/explore land in the structured stream for free;
- * subsystems additionally emit field-rich events at their seams.
+ * Hot-path discipline: with the JSON stream disarmed every event()
+ * call site costs one predicted branch on a process-global flag
+ * (obs::log::enabled()); messages and fields are built lazily behind
+ * that branch.
  *
- * Hot-path discipline: with logging disabled every call site costs
- * one predicted branch on a process-global flag (obs::log::enabled());
- * messages and fields are built lazily behind that branch.
- *
- * Rate limiting: at most XPS_LOG_RATE events per (component, level)
- * per second (default 200; 0 = unlimited). Excess events are counted
- * (log.suppressed) and summarized by one warn event per window, so a
- * crash loop cannot turn the log into its own outage.
- *
- * Knobs: XPS_LOG_JSON (merged path; arms logging), XPS_LOG_LEVEL
- * (debug|info|warn|error; default info), XPS_LOG_RATE (events per
- * component-level-second; default 200), XPS_LOG_MERGE (0 = shard-only:
- * flush at exit but never merge — for multi-process sessions where
- * another process owns the merge, e.g. xps-client against a daemon).
+ * Rate limiting: at most 200 JSON events per (component, level) per
+ * second. Excess events are counted (log.suppressed) and summarized
+ * by one warn event per window — when the window rolls, and at the
+ * latest when the log flushes for merge or exit — so a crash loop
+ * cannot turn the log into its own outage.
  */
 
 #ifndef XPS_OBS_LOG_HH
@@ -65,28 +66,37 @@ enum class Level
 
 namespace detail
 {
-/** True iff structured logging is armed; the only cost when off. */
+/** True iff the JSON stream is armed; the only cost when off. */
 extern bool gEnabled;
 /** The level floor as an int (events below it are dropped). */
 extern int gMinLevel;
 
 void emit(Level level, const char *component, const std::string &msg,
           std::string fieldsJson);
+
+/** One util/logging message that passed the floor: "[tag] msg" to
+ *  stderr, plus a component "log" event when the stream is armed. */
+void report(Level level, const char *tag, const std::string &msg);
+
+/** report() at error level, flush the stream, then abort() or
+ *  exit(1). */
+[[noreturn]] void die(const char *tag, const std::string &msg,
+                      bool abortProcess);
 } // namespace detail
 
-/** True iff logging is armed (one predicted branch when off). */
+/** True iff the JSON stream is armed (one predicted branch when
+ *  off). */
 inline bool
 enabled()
 {
     return __builtin_expect(detail::gEnabled, 0);
 }
 
-/** Would an event at `level` be recorded right now? */
+/** Does an event at `level` pass the floor (stderr and JSON alike)? */
 inline bool
-levelEnabled(Level level)
+passesFloor(Level level)
 {
-    return enabled() &&
-           static_cast<int>(level) >= detail::gMinLevel;
+    return static_cast<int>(level) >= detail::gMinLevel;
 }
 
 /** Record one structured event. No-op (one predicted branch) when
@@ -94,20 +104,8 @@ levelEnabled(Level level)
 inline void
 event(Level level, const char *component, const std::string &msg)
 {
-    if (levelEnabled(level))
+    if (enabled() && passesFloor(level))
         detail::emit(level, component, msg, std::string());
-}
-
-/** Args -> "{...}" / pass a prebuilt JSON object string through. */
-inline std::string
-toFieldsJson(const Args &args)
-{
-    return args.str();
-}
-inline std::string
-toFieldsJson(std::string json)
-{
-    return json;
 }
 
 /** Record one structured event with lazily built fields: `fieldsFn`
@@ -118,16 +116,10 @@ inline void
 event(Level level, const char *component, const std::string &msg,
       FieldsFn &&fieldsFn)
 {
-    if (levelEnabled(level))
+    if (enabled() && passesFloor(level))
         detail::emit(level, component, msg,
-                     toFieldsJson(fieldsFn()));
+                     obs::detail::toJson(fieldsFn()));
 }
-
-/** The stable lower-case name of a level ("info", ...). */
-const char *levelName(Level level);
-
-/** Parse a level name; false (out unchanged) on garbage. */
-bool parseLevel(const std::string &name, Level &out);
 
 /** Outcome of merging log shards into the final stream. */
 struct LogMergeStats
@@ -139,34 +131,30 @@ struct LogMergeStats
 };
 
 /**
- * Arm logging programmatically (tools and tests; production arms from
- * XPS_LOG_JSON at startup). Points the shard directory at
- * `<mergedPath>.shards/` and marks this process as the merger-at-exit.
- * `ratePerSec` 0 means the XPS_LOG_RATE default.
+ * Arm the JSON stream programmatically (tools and tests; production
+ * arms from XPS_LOG_JSON at startup) and set the floor to `minLevel`.
+ * Points the shard directory at `<mergedPath>.shards/` and marks this
+ * process as the merger-at-exit.
  */
 void configureLogging(const std::string &mergedPath,
-                      Level minLevel = Level::Info,
-                      uint64_t ratePerSec = 0);
+                      Level minLevel = Level::Info);
 
 /** Disarm logging and drop any unflushed events (tests). */
 void disableLogging();
 
-/** Write this process's buffered events to its shard file. Called
- *  automatically on buffer pressure and by the worker-pool child
- *  right before _exit(). */
+/** Summarize pending rate-limit windows and write this process's
+ *  buffered events to its shard file. Called by the worker-pool child
+ *  right before _exit() and at exit; buffer pressure flushes too. */
 void flushLog();
 
 /**
- * Flush, then merge every shard under the shard directory into the
- * merged JSONL stream (timestamp-sorted) and remove the shard
- * directory. Torn shards and lines are counted and skipped. Runs
- * automatically at exit in the arming process; disarms logging when
- * done so post-merge stragglers cannot recreate shards.
+ * Summarize pending rate-limit windows, flush and disarm, then merge
+ * every shard under the shard directory into the merged JSONL stream
+ * (timestamp-sorted) and remove the shard directory. Torn shards and
+ * lines are counted and skipped. Runs automatically at exit in the
+ * arming process.
  */
 LogMergeStats mergeLog();
-
-/** The merged-output path ("" when logging is disarmed). */
-std::string logPath();
 
 } // namespace log
 } // namespace obs

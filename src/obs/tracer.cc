@@ -1,23 +1,18 @@
 #include "obs/tracer.hh"
 
-#include <fcntl.h>
-#include <pthread.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "obs/json.hh"
-#include "util/atomic_file.hh"
+#include "obs/shard_sink.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -35,39 +30,33 @@ bool gEnabled = false;
 namespace
 {
 
-/** Unflushed events drain to the shard at this cadence even under
- *  light load, so a killed worker loses at most a recent tail. */
-constexpr uint64_t kFlushIntervalNs = 250ull * 1000 * 1000;
+using detail::ShardSink;
 
 uint64_t (*gClockFn)() = nullptr;
 
-/**
- * Per-process tracer state. Guarded by `mutex` except inside the
- * fork-child handler, which runs while the (single-threaded, by the
- * ProcPool contract) child owns the process outright.
- */
-struct TracerState
+ShardSink &
+sink()
 {
-    std::mutex mutex;
-    std::string mergedPath;
-    std::string shardDir;
-    std::string pending; ///< serialized JSONL not yet in the shard
-    size_t bufferBytes = 64 * 1024;
-    uint64_t lastFlushNs = 0;
-    int fd = -1;
-    pid_t originPid = 0; ///< the process that merges at exit
-    bool atexitArmed = false;
-    bool forkHookArmed = false;
-    bool writeFailed = false;
-    bool dropWarned = false;    ///< warn-once for dropped spans
-    bool suppressMerge = false; ///< XPS_TRACE_MERGE=0: shard-only
-};
+    static ShardSink *s = new ShardSink({
+        .name = "trace",
+        .shardPrefix = "shard.",
+        .head = "{\"traceEvents\":[\n",
+        .sep = ",\n",
+        .tail = "],\"displayTimeUnit\":\"ms\"}\n",
+        .bufferBytes = 64 * 1024,
+        .dropCounter = "trace.dropped_spans",
+        .enabled = &detail::gEnabled,
+        .merge = [] { mergeTrace(); },
+        .flush = flushTrace,
+        .afterFork = nullptr,
+    });
+    return *s;
+}
 
 /**
  * The ambient request id, escaped once at set time. A leaf lock of
- * its own: the structured logger reads it from inside its emit path
- * (which may itself be reached from a warn() under the tracer
- * mutex), so it must never share the tracer's lock.
+ * its own: the structured logger reads it from inside its emit path,
+ * so it must never share the sink's lock.
  */
 struct RidState
 {
@@ -83,29 +72,6 @@ ridState()
     return *r;
 }
 
-TracerState &
-state()
-{
-    static TracerState *s = new TracerState();
-    return *s;
-}
-
-std::atomic<uint32_t> gNextTid{0};
-
-uint32_t
-threadId()
-{
-    thread_local uint32_t tid =
-        gNextTid.fetch_add(1, std::memory_order_relaxed) + 1;
-    return tid;
-}
-
-std::string
-shardPathFor(const TracerState &s, pid_t pid)
-{
-    return s.shardDir + "/shard." + std::to_string(pid) + ".jsonl";
-}
-
 /** FNV-1a 64-bit: stable flow ids from request-id strings. */
 uint64_t
 fnv1a(const std::string &s)
@@ -118,95 +84,13 @@ fnv1a(const std::string &s)
     return h;
 }
 
-/** Buffered events that can no longer reach the shard are counted,
- *  never lost silently (trace.dropped_spans). Caller holds the
- *  tracer lock; the metrics mutex is a leaf below it. */
-void
-countDroppedLocked(const std::string &pending)
-{
-    const size_t lines = static_cast<size_t>(
-        std::count(pending.begin(), pending.end(), '\n'));
-    if (lines)
-        Metrics::global().counter("trace.dropped_spans").add(lines);
-}
-
-/** Write `pending` to this process's shard. Caller holds the lock. */
-void
-flushLocked(TracerState &s, uint64_t nowTsNs)
-{
-    s.lastFlushNs = nowTsNs;
-    if (s.pending.empty() || s.writeFailed)
-        return;
-    if (s.fd < 0) {
-        std::error_code ec;
-        std::filesystem::create_directories(s.shardDir, ec);
-        s.fd = ::open(shardPathFor(s, ::getpid()).c_str(),
-                      O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-        if (s.fd < 0) {
-            // Tracing must never take down the run: drop events,
-            // warn once, and stop trying.
-            warn("trace: cannot open shard %s: %s; dropping events "
-                 "(see trace.dropped_spans)",
-                 shardPathFor(s, ::getpid()).c_str(),
-                 std::strerror(errno));
-            s.writeFailed = true;
-            s.dropWarned = true;
-            countDroppedLocked(s.pending);
-            s.pending.clear();
-            return;
-        }
-    }
-    size_t off = 0;
-    while (off < s.pending.size()) {
-        const ssize_t n = ::write(s.fd, s.pending.data() + off,
-                                  s.pending.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("trace: shard write failed: %s; dropping events "
-                 "(see trace.dropped_spans)",
-                 std::strerror(errno));
-            s.writeFailed = true;
-            s.dropWarned = true;
-            countDroppedLocked(s.pending.substr(off));
-            break;
-        }
-        off += static_cast<size_t>(n);
-    }
-    s.pending.clear();
-}
-
-/**
- * In a freshly forked child the inherited shard fd and unflushed
- * events belong to the parent (which still holds them); writing
- * either from here would duplicate or interleave. Start clean: the
- * child gets its own shard on its first event. Registered via
- * pthread_atfork, so it also covers tests that fork() directly.
- */
-void
-childAfterFork()
-{
-    TracerState &s = state();
-    // No locking: the child is single-threaded by the fork contract
-    // of the worker pool, and the parent's mutex state is stale here.
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.pending.clear();
-    s.writeFailed = false;
-    s.dropWarned = false;
-}
-
 void
 appendEvent(const char *name, const char *cat, char ph,
             uint64_t tsNs, uint64_t durNs, bool hasDur,
             const std::string &args)
 {
-    TracerState &s = state();
-    // Copy the ambient rid before taking the tracer lock (and fully
-    // release the rid lock first): the warn path below runs under
-    // the tracer lock and re-reads the rid through the log bridge,
-    // so holding both here would invert the order.
+    // Serialize outside the sink lock; copy the ambient rid first
+    // (and release its lock) so the two locks never nest.
     std::string rid;
     {
         RidState &r = ridState();
@@ -225,68 +109,30 @@ appendEvent(const char *name, const char *cat, char ph,
         mid_len = std::snprintf(
             mid, sizeof(mid), "\"dur\":%.3f,\"pid\":%d,\"tid\":%u",
             static_cast<double>(durNs) / 1000.0,
-            static_cast<int>(::getpid()), threadId());
+            static_cast<int>(::getpid()), detail::threadId());
     } else {
         mid_len = std::snprintf(
             mid, sizeof(mid), "%s\"pid\":%d,\"tid\":%u",
             ph == 'i' ? "\"s\":\"t\"," : "",
-            static_cast<int>(::getpid()), threadId());
+            static_cast<int>(::getpid()), detail::threadId());
     }
-
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (!detail::gEnabled)
-        return;
-    if (s.writeFailed) {
-        // The shard is gone (XPS_TRACE_BUFFER_KB ring cannot drain):
-        // count instead of dropping silently, and say so once.
-        Metrics::global().counter("trace.dropped_spans").add();
-        if (!s.dropWarned) {
-            s.dropWarned = true;
-            warn("trace: shard unwritable; dropping spans "
-                 "(see trace.dropped_spans)");
-        }
-        return;
-    }
-    s.pending.append(head, static_cast<size_t>(head_len));
-    s.pending.append(mid, static_cast<size_t>(mid_len));
+    std::string line(head, static_cast<size_t>(head_len));
+    line.append(mid, static_cast<size_t>(mid_len));
     if (!rid.empty()) {
-        s.pending += ",\"rid\":\"";
-        s.pending += rid;
-        s.pending += "\"";
+        line += ",\"rid\":\"";
+        line += rid;
+        line += "\"";
     }
     if (!args.empty()) {
-        s.pending += ",\"args\":";
-        s.pending += args;
+        line += ",\"args\":";
+        line += args;
     }
-    s.pending += "}\n";
-    if (s.pending.size() >= s.bufferBytes ||
-        tsNs - s.lastFlushNs >= kFlushIntervalNs)
-        flushLocked(s, tsNs);
-}
+    line += "}\n";
 
-void
-mergeAtExit()
-{
-    TracerState &s = state();
-    if (!detail::gEnabled)
-        return;
-    if (::getpid() == s.originPid && !s.suppressMerge)
-        mergeTrace();
-    else
-        flushTrace(); // forked child / shard-only mode: keep spans
-}
-
-void
-armHooksLocked(TracerState &s)
-{
-    if (!s.forkHookArmed) {
-        ::pthread_atfork(nullptr, nullptr, childAfterFork);
-        s.forkHookArmed = true;
-    }
-    if (!s.atexitArmed) {
-        std::atexit(mergeAtExit);
-        s.atexitArmed = true;
-    }
+    ShardSink &s = sink();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    if (detail::gEnabled)
+        s.appendLocked(line, tsNs);
 }
 
 /** Arm from the environment on program start-up, like the metrics
@@ -303,6 +149,15 @@ const bool gEnvArmed = [] {
 
 namespace detail
 {
+
+uint32_t
+threadId()
+{
+    static std::atomic<uint32_t> next{0};
+    thread_local uint32_t tid =
+        next.fetch_add(1, std::memory_order_relaxed) + 1;
+    return tid;
+}
 
 uint64_t
 nowNs()
@@ -389,60 +244,28 @@ Args::key(const char *k)
 }
 
 void
-configureTracing(const std::string &mergedPath, uint64_t bufferKb)
+configureTracing(const std::string &mergedPath)
 {
-    TracerState &s = state();
+    ShardSink &s = sink();
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.mergedPath = mergedPath;
-    s.shardDir = mergedPath + ".shards";
-    s.pending.clear();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.writeFailed = false;
-    if (bufferKb == 0)
-        bufferKb = envUInt("XPS_TRACE_BUFFER_KB", 64);
-    s.bufferBytes = std::max<uint64_t>(1, bufferKb) * 1024;
-    s.dropWarned = false;
-    s.suppressMerge = envUInt("XPS_TRACE_MERGE", 1) == 0;
-    s.originPid = ::getpid();
-    s.lastFlushNs = detail::nowNs();
-    armHooksLocked(s);
-    detail::gEnabled = true;
-    // Spans and latency histograms answer the same "where does time
-    // go" question; an armed tracer implies the distributions too.
-    Metrics::enableHistograms();
+    s.armLocked(mergedPath, detail::nowNs());
 }
 
 void
 disableTracing()
 {
-    TracerState &s = state();
+    ShardSink &s = sink();
     std::lock_guard<std::mutex> lock(s.mutex);
-    detail::gEnabled = false;
-    s.pending.clear();
-    if (s.fd >= 0)
-        ::close(s.fd);
-    s.fd = -1;
-    s.mergedPath.clear();
-    s.shardDir.clear();
+    s.disarmLocked();
 }
 
 void
 flushTrace()
 {
-    TracerState &s = state();
+    ShardSink &s = sink();
     std::lock_guard<std::mutex> lock(s.mutex);
     if (detail::gEnabled)
-        flushLocked(s, detail::nowNs());
-}
-
-std::string
-tracePath()
-{
-    TracerState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.mergedPath;
+        s.flushLocked(detail::nowNs());
 }
 
 void
@@ -480,30 +303,6 @@ requestContext()
 MergeStats
 mergeTrace()
 {
-    MergeStats stats;
-    TracerState &s = state();
-    std::string mergedPath, shardDir;
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (!detail::gEnabled)
-            return stats;
-        flushLocked(s, detail::nowNs());
-        mergedPath = s.mergedPath;
-        shardDir = s.shardDir;
-        if (s.fd >= 0)
-            ::close(s.fd);
-        s.fd = -1;
-    }
-
-    // Collect every shard's valid events. A line that does not parse
-    // as a complete trace event — the torn tail of a killed writer —
-    // is skipped; a shard with no valid line at all is skipped whole.
-    struct Ev
-    {
-        double ts;
-        std::string line;
-    };
-    std::vector<Ev> events;
     // First rid-stamped span of every (pid, tid): the anchor points
     // the generated flow events bind to (DESIGN.md §14).
     struct FlowAnchor
@@ -515,162 +314,90 @@ mergeTrace()
     };
     std::map<std::string, std::map<std::pair<int, int>, FlowAnchor>>
         flowAnchors;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(shardDir, ec);
-    if (!ec) {
-        std::vector<std::filesystem::path> shards;
-        for (const auto &entry : it) {
-            const std::string base = entry.path().filename().string();
-            if (base.rfind("shard.", 0) == 0)
-                shards.push_back(entry.path());
+    auto accept = [&](const json::Value &ev) {
+        const json::Value *ph = ev.find("ph");
+        if (!ev.find("name") || !ph)
+            return false;
+        const json::Value *rid = ev.find("rid");
+        const json::Value *pid = ev.find("pid");
+        const json::Value *tid = ev.find("tid");
+        if (rid && rid->type == json::Value::Type::String &&
+            !rid->str.empty() && ph->type == json::Value::Type::String &&
+            ph->str == "X" && pid &&
+            pid->type == json::Value::Type::Number && tid &&
+            tid->type == json::Value::Type::Number) {
+            const json::Value *dur = ev.find("dur");
+            const double ts = ev.find("ts")->number;
+            const double durUs =
+                dur && dur->type == json::Value::Type::Number
+                    ? dur->number
+                    : 0;
+            const std::pair<int, int> key{static_cast<int>(pid->number),
+                                          static_cast<int>(tid->number)};
+            auto &anchor = flowAnchors[rid->str];
+            auto found = anchor.find(key);
+            if (found == anchor.end() || ts < found->second.ts)
+                anchor[key] = {ts, ts + durUs / 2, key.first, key.second};
         }
-        std::sort(shards.begin(), shards.end());
-        for (const auto &shard : shards) {
-            std::string content;
-            if (!readFile(shard.string(), content)) {
-                ++stats.tornShards;
-                continue;
-            }
-            size_t valid = 0;
-            size_t pos = 0;
-            while (pos < content.size()) {
-                size_t nl = content.find('\n', pos);
-                if (nl == std::string::npos)
-                    nl = content.size();
-                std::string line = content.substr(pos, nl - pos);
-                pos = nl + 1;
-                if (line.empty())
-                    continue;
-                json::Value ev;
-                if (!json::parse(line, ev) || !ev.isObject() ||
-                    !ev.find("name") || !ev.find("ph") ||
-                    !ev.find("ts") ||
-                    ev.find("ts")->type !=
-                        json::Value::Type::Number) {
-                    ++stats.tornLines;
-                    continue;
-                }
-                const json::Value *rid = ev.find("rid");
-                const json::Value *ph = ev.find("ph");
-                const json::Value *pid = ev.find("pid");
-                const json::Value *tid = ev.find("tid");
-                if (rid && rid->type == json::Value::Type::String &&
-                    !rid->str.empty() && ph &&
-                    ph->type == json::Value::Type::String &&
-                    ph->str == "X" && pid &&
-                    pid->type == json::Value::Type::Number && tid &&
-                    tid->type == json::Value::Type::Number) {
-                    const json::Value *dur = ev.find("dur");
-                    const double ts = ev.find("ts")->number;
-                    const double durUs =
-                        dur && dur->type == json::Value::Type::Number
-                            ? dur->number
-                            : 0;
-                    const std::pair<int, int> key{
-                        static_cast<int>(pid->number),
-                        static_cast<int>(tid->number)};
-                    auto &anchor = flowAnchors[rid->str];
-                    auto found = anchor.find(key);
-                    if (found == anchor.end() ||
-                        ts < found->second.ts)
-                        anchor[key] = {ts, ts + durUs / 2, key.first,
-                                       key.second};
-                }
-                events.push_back(
-                    {ev.find("ts")->number, std::move(line)});
-                ++valid;
-            }
-            if (valid == 0)
-                ++stats.tornShards;
-            else
-                ++stats.shards;
-        }
-    }
+        return true;
+    };
     // Generate Perfetto flow events per request id: bind the first
     // rid-stamped span of each (pid, tid) into one arrowed chain
     // ("s" -> "t"... -> "f"), anchored at span midpoints so every
     // flow point lands inside its slice. A rid seen by only one
     // (pid, tid) has nothing to connect.
-    for (const auto &[rid, groups] : flowAnchors) {
-        if (groups.size() < 2)
-            continue;
-        std::vector<FlowAnchor> chain;
-        chain.reserve(groups.size());
-        for (const auto &[key, anchor] : groups)
-            chain.push_back(anchor);
-        std::sort(chain.begin(), chain.end(),
-                  [](const FlowAnchor &a, const FlowAnchor &b) {
-                      return a.mid < b.mid;
-                  });
-        const std::string escaped = json::escape(rid);
-        char idHex[24];
-        std::snprintf(idHex, sizeof(idHex), "%016llx",
-                      static_cast<unsigned long long>(fnv1a(rid)));
-        for (size_t i = 0; i < chain.size(); ++i) {
-            const char ph =
-                i == 0 ? 's' : (i + 1 == chain.size() ? 'f' : 't');
-            char line[256];
-            const int n = std::snprintf(
-                line, sizeof(line),
-                "{\"name\":\"request\",\"cat\":\"flow\","
-                "\"ph\":\"%c\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d,"
-                "\"id\":\"0x%s\"%s,\"args\":{\"rid\":\"%s\"}}",
-                ph, chain[i].mid, chain[i].pid, chain[i].tid, idHex,
-                ph == 'f' ? ",\"bp\":\"e\"" : "", escaped.c_str());
-            events.push_back(
-                {chain[i].mid,
-                 std::string(line, static_cast<size_t>(n))});
-            ++stats.flowEvents;
+    size_t flowEvents = 0;
+    auto addFlows = [&](std::vector<ShardSink::Line> &lines) {
+        for (const auto &[rid, groups] : flowAnchors) {
+            if (groups.size() < 2)
+                continue;
+            std::vector<FlowAnchor> chain;
+            chain.reserve(groups.size());
+            for (const auto &[key, anchor] : groups)
+                chain.push_back(anchor);
+            std::sort(chain.begin(), chain.end(),
+                      [](const FlowAnchor &a, const FlowAnchor &b) {
+                          return a.mid < b.mid;
+                      });
+            const std::string escaped = json::escape(rid);
+            char idHex[24];
+            std::snprintf(idHex, sizeof(idHex), "%016llx",
+                          static_cast<unsigned long long>(fnv1a(rid)));
+            for (size_t i = 0; i < chain.size(); ++i) {
+                const char ph =
+                    i == 0 ? 's' : (i + 1 == chain.size() ? 'f' : 't');
+                char line[256];
+                const int n = std::snprintf(
+                    line, sizeof(line),
+                    "{\"name\":\"request\",\"cat\":\"flow\","
+                    "\"ph\":\"%c\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d,"
+                    "\"id\":\"0x%s\"%s,\"args\":{\"rid\":\"%s\"}}",
+                    ph, chain[i].mid, chain[i].pid, chain[i].tid, idHex,
+                    ph == 'f' ? ",\"bp\":\"e\"" : "", escaped.c_str());
+                lines.push_back(
+                    {chain[i].mid,
+                     std::string(line, static_cast<size_t>(n))});
+                ++flowEvents;
+            }
         }
-    }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const Ev &a, const Ev &b) {
-                         return a.ts < b.ts;
-                     });
-    stats.events = events.size();
+    };
+    const ShardSink::MergeCounts counts =
+        sink().merge(detail::nowNs(), accept, addFlows);
 
-    // The merged file is written tmp + rename directly (not through
-    // atomicWriteFile, whose own io span would re-enter the tracer
-    // mid-merge).
-    std::string out;
-    out.reserve(events.size() * 128 + 64);
-    out += "{\"traceEvents\":[\n";
-    for (size_t i = 0; i < events.size(); ++i) {
-        out += events[i].line;
-        if (i + 1 < events.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "],\"displayTimeUnit\":\"ms\"}\n";
-    const std::string tmp =
-        mergedPath + ".tmp." + std::to_string(::getpid());
-    FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("trace: cannot write %s: %s", tmp.c_str(),
-             std::strerror(errno));
+    MergeStats stats;
+    stats.shards = counts.shards;
+    stats.events = counts.lines;
+    stats.flowEvents = flowEvents;
+    stats.tornShards = counts.tornShards;
+    stats.tornLines = counts.tornLines;
+    if (!counts.published)
         return stats;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), mergedPath.c_str()) != 0) {
-        warn("trace: rename %s -> %s failed: %s", tmp.c_str(),
-             mergedPath.c_str(), std::strerror(errno));
-        std::remove(tmp.c_str());
-        return stats;
-    }
-    std::filesystem::remove_all(shardDir, ec);
-
     Metrics &metrics = Metrics::global();
-    metrics.counter("trace.shards_merged").add(stats.shards);
     metrics.counter("trace.events_merged").add(stats.events);
     if (stats.flowEvents)
         metrics.counter("trace.flow_events").add(stats.flowEvents);
-    if (stats.tornShards)
-        metrics.counter("trace.shards_torn").add(stats.tornShards);
-    if (stats.tornLines)
-        metrics.counter("trace.lines_torn").add(stats.tornLines);
     inform("trace: merged %zu events from %zu shards into %s%s",
-           stats.events, stats.shards, mergedPath.c_str(),
+           stats.events, stats.shards, counts.path.c_str(),
            stats.tornShards || stats.tornLines
                ? " (torn shards skipped)"
                : "");

@@ -33,18 +33,18 @@
  * process into one arrowed flow — a serve query is followable from
  * the client through the daemon into its forked worker.
  *
- * If the shard becomes unwritable, events are counted into the
- * trace.dropped_spans counter and a single warning is emitted —
+ * Shards are written by the obs/shard_sink.hh sink the structured log
+ * uses too: a 64 KiB per-process buffer that also drains on a
+ * ~250 ms cadence, so a hung worker's recent spans reach its shard
+ * before the SIGKILL. If the shard becomes unwritable, events are
+ * counted into trace.dropped_spans and a single warning is emitted —
  * tracing never takes down the run, but it never drops silently
- * either.
+ * either. A merge that cannot publish a complete file keeps the shards
+ * and counts trace.merge_failed.
  *
- * Knobs: XPS_TRACE_JSON (merged output path; arms tracing),
- * XPS_TRACE_BUFFER_KB (per-process buffered bytes before a shard
- * flush, default 64; the buffer also drains on a ~250 ms cadence so
- * a hung worker's recent spans reach its shard before the SIGKILL),
- * XPS_TRACE_MERGE (0 = shard-only mode: flush at exit but never
- * merge — for processes like xps-client that join a trace owned by a
- * longer-lived daemon).
+ * Knob: XPS_TRACE_JSON (merged output path; arms tracing). A process
+ * that joins a trace owned by a longer-lived process (xps-client
+ * against a daemon) calls joinSession() and only flushes at exit.
  */
 
 #ifndef XPS_OBS_TRACER_HH
@@ -65,6 +65,9 @@ extern bool gEnabled;
 
 /** Monotonic nanoseconds (or the test clock shim). */
 uint64_t nowNs();
+
+/** Small per-process thread id shared by spans and log events. */
+uint32_t threadId();
 
 /** Record a completed span. `argsJson` is "" or a JSON object. */
 void emitSpan(const char *name, const char *cat, uint64_t beginNs,
@@ -99,6 +102,22 @@ class Args
     std::string body_;
 };
 
+namespace detail
+{
+/** Args -> "{...}" / pass a prebuilt JSON object string through: what
+ *  a lazy args (or log fields) function may return. */
+inline std::string
+toJson(const Args &args)
+{
+    return args.str();
+}
+inline std::string
+toJson(std::string json)
+{
+    return json;
+}
+} // namespace detail
+
 /**
  * RAII span: measures construction-to-destruction and records one
  * complete ("ph":"X") event. The lazy-args overload only invokes
@@ -119,7 +138,7 @@ class ScopedSpan
         : ScopedSpan(name, cat)
     {
         if (armed_)
-            args_ = toJson(argsFn());
+            args_ = detail::toJson(argsFn());
     }
 
     ~ScopedSpan()
@@ -133,9 +152,6 @@ class ScopedSpan
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
   private:
-    static std::string toJson(const Args &args) { return args.str(); }
-    static std::string toJson(std::string json) { return json; }
-
     const char *name_;
     const char *cat_;
     bool armed_;
@@ -206,11 +222,9 @@ struct MergeStats
  * Arm tracing programmatically (tools and tests; production arms from
  * XPS_TRACE_JSON at startup). Resets per-process buffers, points the
  * shard directory at `<mergedPath>.shards/`, and marks this process
- * as the merger-at-exit. `bufferKb` 0 means the XPS_TRACE_BUFFER_KB
- * default.
+ * as the merger-at-exit.
  */
-void configureTracing(const std::string &mergedPath,
-                      uint64_t bufferKb = 0);
+void configureTracing(const std::string &mergedPath);
 
 /** Disarm tracing and drop any unflushed events (tests). */
 void disableTracing();
@@ -221,15 +235,18 @@ void disableTracing();
 void flushTrace();
 
 /**
- * Flush, then merge every shard under the shard directory into the
- * merged timeline file and remove the shard directory. Torn shards
- * and torn lines are counted and skipped. Runs automatically at exit
- * in the process that armed tracing; exposed for tests and tools.
+ * Flush and disarm, then merge every shard under the shard directory
+ * into the merged timeline file and remove the shard directory. Torn
+ * shards and torn lines are counted and skipped. Runs automatically
+ * at exit in the process that armed tracing; exposed for tests and
+ * tools.
  */
 MergeStats mergeTrace();
 
-/** The merged-output path ("" when tracing is disarmed). */
-std::string tracePath();
+/** Join a session whose trace and log merges another process owns:
+ *  this process keeps writing its shards but only flushes them at
+ *  exit (xps-client against a daemon). */
+void joinSession();
 
 /** Label this process in the merged timeline (a "process_name"
  *  metadata event; the supervisor and each worker call it). */

@@ -12,10 +12,11 @@
  *
  * Distributed tracing (DESIGN.md §14): when the request carries no
  * "rid", the client mints one and injects it, then stamps its own
- * client.request span with it. With XPS_TRACE_JSON set on both sides
- * (and XPS_TRACE_MERGE=0 here, so the daemon owns the merge), the
- * merged timeline links the client, daemon, and worker spans of this
- * request into one Perfetto flow.
+ * client.request span with it. With XPS_TRACE_JSON set on both sides,
+ * the merged timeline links the client, daemon, and worker spans of
+ * this request into one Perfetto flow. The client always joins the
+ * daemon's session (obs::joinSession()): it leaves its trace and log
+ * shards for the daemon to merge and never merges itself.
  *
  * `top` is the one-shot health view: daemon queue state, overload
  * ratio, and SLO percentiles rendered from the `metrics` op.
@@ -123,6 +124,9 @@ renderTop(const obs::json::Value &v)
 int
 main(int argc, char **argv)
 {
+    // Before anything can exit(): a fatal() on a bad argument must
+    // not merge the daemon's shards.
+    obs::joinSession();
     std::string socket = envString(
         "XPS_SERVE_SOCKET", Budget::get().resultsDir + "/xps-serve.sock");
     double timeout = 30.0;

@@ -320,9 +320,6 @@ Server::boot()
     inform("xps-serve: listening on %s (%d workers, queue max %zu)",
            opts_.socketPath.c_str(), pool_.options().workers,
            opts_.queueMax);
-    // An export cadence implies a scraper wanting percentiles.
-    if (opts_.metricsExportS > 0)
-        Metrics::enableHistograms();
     maybeExportMetrics(true);
     booted_ = true;
 }
@@ -570,8 +567,7 @@ Server::handleCompute(int fd, const Request &req,
     job.accepted = Clock::now();
     journalRecord({key, "accepted", job.seq, line});
     metrics.counter("serve.accepted").add();
-    if (Metrics::histogramsEnabled())
-        metrics.histogram("serve.queue_depth").record(queued + 1);
+    metrics.histogram("serve.queue_depth").record(queued + 1);
     jobs_.push_back(std::move(job));
 }
 
@@ -581,11 +577,8 @@ Server::handleCompute(int fd, const Request &req,
 void
 Server::journalRecord(const JournalRecord &rec)
 {
-    const bool timed = obs::enabled() || Metrics::histogramsEnabled();
-    const uint64_t t0 = timed ? obs::detail::nowNs() : 0;
+    const uint64_t t0 = obs::detail::nowNs();
     journal_.record(rec);
-    if (!timed)
-        return;
     const uint64_t t1 = obs::detail::nowNs();
     if (obs::enabled())
         obs::detail::emitSpan("serve.journal", "serve", t0, t1,
@@ -593,9 +586,7 @@ Server::journalRecord(const JournalRecord &rec)
                                   .add("key", rec.key)
                                   .add("state", rec.state)
                                   .str());
-    if (Metrics::histogramsEnabled())
-        Metrics::global().histogram("serve.journal_write")
-            .record(t1 - t0);
+    Metrics::global().histogram("serve.journal_write").record(t1 - t0);
 }
 
 ProcJob
@@ -690,9 +681,7 @@ Server::dispatch()
                                       .add("key", pick->key)
                                       .str());
         }
-        if (Metrics::histogramsEnabled())
-            Metrics::global().histogram("serve.queue_wait")
-                .record(waitNs);
+        Metrics::global().histogram("serve.queue_wait").record(waitNs);
         journalRecord(
             {pick->key, "started", pick->seq, pick->requestLine});
         pick->ticket = pool_.submit(makeProcJob(*pick));
@@ -759,20 +748,14 @@ Server::harvest()
             // reproduce; the response is marked instead.
             metrics.counter("serve.degraded_responses").add();
         } else {
-            const bool timed =
-                obs::enabled() || Metrics::histogramsEnabled();
-            const uint64_t t0 = timed ? obs::detail::nowNs() : 0;
+            const uint64_t t0 = obs::detail::nowNs();
             store_.publish(job.identity, doc);
-            if (timed) {
-                const uint64_t t1 = obs::detail::nowNs();
-                if (obs::enabled())
-                    obs::detail::emitSpan(
-                        "serve.publish", "serve", t0, t1,
-                        obs::Args().add("key", job.key).str());
-                if (Metrics::histogramsEnabled())
-                    metrics.histogram("serve.publish")
-                        .record(t1 - t0);
-            }
+            const uint64_t t1 = obs::detail::nowNs();
+            if (obs::enabled())
+                obs::detail::emitSpan(
+                    "serve.publish", "serve", t0, t1,
+                    obs::Args().add("key", job.key).str());
+            metrics.histogram("serve.publish").record(t1 - t0);
         }
         journalRecord(
             {job.key, "completed", job.seq, job.requestLine});
@@ -781,13 +764,10 @@ Server::harvest()
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 Clock::now() - job.accepted)
                 .count());
-        if (Metrics::histogramsEnabled()) {
-            metrics.histogram("serve.job").record(jobNs);
-            // Per-op SLO latency: accept-to-respond per operation.
-            metrics.histogram(std::string("serve.op.") +
-                              opName(job.req.op))
-                .record(jobNs);
-        }
+        metrics.histogram("serve.job").record(jobNs);
+        // Per-op SLO latency: accept-to-respond per operation.
+        metrics.histogram(std::string("serve.op.") + opName(job.req.op))
+            .record(jobNs);
         obs::log::event(obs::log::Level::Info, "serve",
                         "job completed", [&] {
                             return obs::Args()
@@ -994,8 +974,6 @@ Server::drain()
         ::close(c.fd);
     conns_.clear();
     maybeExportMetrics(true); // final snapshot for the scraper
-    obs::flushTrace();
-    obs::log::flushLog();
     inform("xps-serve: drained; exiting gracefully");
     return kGracefulExitCode;
 }

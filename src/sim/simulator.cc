@@ -17,8 +17,8 @@ namespace xps
 namespace
 {
 
-/** sim.run span plus the sim.run latency histogram; one predicted
- *  branch each when observability is off. */
+/** sim.run span (one predicted branch when tracing is off) plus the
+ *  always-on sim.run latency histogram. */
 class SimRunObserver
 {
   public:
@@ -30,16 +30,14 @@ class SimRunObserver
                         .add("workload", profile.name)
                         .add("instrs", opts.measureInstrs);
                 }),
-          begin_(Metrics::histogramsEnabled() ? obs::detail::nowNs()
-                                              : 0)
+          begin_(obs::detail::nowNs())
     {
     }
 
     ~SimRunObserver()
     {
-        if (begin_)
-            Metrics::global().histogram("sim.run").record(
-                obs::detail::nowNs() - begin_);
+        static Histogram &histogram = Metrics::global().histogram("sim.run");
+        histogram.record(obs::detail::nowNs() - begin_);
     }
 
   private:

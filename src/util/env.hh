@@ -3,88 +3,35 @@
  * Reproduction budget knobs. The paper ran its exploration for three
  * weeks on a blade; these environment variables let the benches run the
  * same pipeline at laptop scale while keeping every run deterministic.
+ * Budget resolves them once per process:
  *
  *   XPS_EVAL_INSTRS      instructions per annealing evaluation
  *   XPS_SA_ITERS         annealing steps per workload
- *   XPS_BATCH            annealing frontier width (sim/batch.hh):
- *                        each round proposes this many neighbours and
- *                        scores them in one batched pass over the
- *                        shared trace with successive-halving
- *                        screening; 1 (the default) is the scalar
- *                        walk. The width is part of the checkpoint
- *                        identity — scalar and batched runs do not
- *                        resume each other's checkpoints
- *   XPS_REDUCE_WORKLOADS K = cluster the suite's workloads by their
- *                        measured characteristics (util/kmeans.hh,
- *                        pinned seed) and anneal only the K cluster
- *                        representatives; the other workloads inherit
- *                        their representative's configuration and are
- *                        still validated at full fidelity on the
- *                        whole suite in the final phase. 0 (default)
- *                        explores every workload. Part of the
- *                        checkpoint identity
  *   XPS_FINAL_INSTRS     instructions for final cross-config evaluations
  *   XPS_RESULTS_DIR      cache directory for exploration outputs
  *   XPS_THREADS          worker threads for parallel exploration
  *   XPS_CHECKPOINT_EVERY annealing iterations between checkpoint
  *                        writes in the cached experiment pipeline
  *                        (0 disables checkpointing)
- *   XPS_METRICS_JSON     when set, dump the metrics registry to this
- *                        file at process exit (util/metrics.hh)
- *   XPS_CHECK            1 = attach a fail-fast structural invariant
- *                        checker to every simulate() run
- *                        (check/invariant_checker.hh); default 0
- *   XPS_FUZZ_ITERS       iterations of the differential fuzz tier
- *                        (`ctest -L prop`); default 500
- *   XPS_REGEN_GOLDEN     1 = golden_snapshot_test rewrites the
- *                        committed tests/golden/ snapshots instead of
- *                        comparing against them
  *   XPS_SUPERVISE        1 = run annealing jobs and PerfMatrix rows
  *                        in a supervised process-isolated worker pool
- *                        (util/procpool.hh) instead of raw threads;
- *                        default 0
- *   XPS_HEARTBEAT_S      seconds without a worker heartbeat before
- *                        the supervisor kills it as hung (default 30,
- *                        0 disables hang detection)
- *   XPS_JOB_DEADLINE_S   wall-clock limit per supervised job attempt
- *                        in seconds (default 0 = unlimited)
- *   XPS_JOB_RETRIES      retries after the first failed attempt
- *                        before a supervised job is quarantined
- *                        (default 2, i.e. three attempts total)
- *   XPS_FAULTS           deterministic fault schedule,
- *                        "site:kind:nth[:seed],..." (util/fault.hh)
- *   XPS_TRACE_JSON       when set, arm the span tracer (obs/tracer.hh)
- *                        and merge every process's trace shard into a
- *                        Perfetto-loadable timeline at this path at
- *                        exit; disabled tracing costs one predicted
- *                        branch per instrumentation point
- *   XPS_TRACE_BUFFER_KB  per-process buffered trace bytes before a
- *                        shard flush (default 64); the buffer also
- *                        drains on a ~250 ms cadence
- *   XPS_TRACE_MERGE      0 = shard-only mode: flush at exit but never
- *                        merge — for processes (xps-client, forked
- *                        workers) joining a trace whose merge a
- *                        longer-lived daemon owns (default 1)
- *   XPS_LOG_JSON         when set, arm structured JSON logging
- *                        (obs/log.hh) and merge every process's log
- *                        shard into one ts-sorted JSONL stream at
- *                        this path at exit
- *   XPS_LOG_LEVEL        debug|info|warn|error floor for structured
- *                        log events (default info)
- *   XPS_LOG_RATE         max structured log events per (component,
- *                        level) per second; excess is counted and
- *                        summarized (default 200, 0 = unlimited)
- *   XPS_LOG_MERGE        0 = shard-only mode, mirroring
- *                        XPS_TRACE_MERGE (default 1)
- *   XPS_METRICS_EXPORT_S cadence in seconds (double; fractions ok)
- *                        for the serve daemon's atomic Prometheus
- *                        text-exposition snapshot at
- *                        <state-dir>/metrics.prom (default 0 = off)
+ *                        (util/procpool.hh) instead of raw threads
+ *   XPS_BATCH            annealing frontier width (sim/batch.hh);
+ *                        1 (the default) is the scalar walk. Part of
+ *                        the checkpoint identity
+ *   XPS_REDUCE_WORKLOADS K = anneal only the representatives of K
+ *                        workload clusters (util/kmeans.hh); 0
+ *                        (default) explores every workload. Part of
+ *                        the checkpoint identity
  *
- * XPS_BATCH and XPS_REDUCE_WORKLOADS resolve into Budget and reach the
- * Explorer only through the cached experiment pipeline
- * (experimentContext() copies them into ExplorerOptions). Hand-built
- * ExplorerOptions and the serve daemon's explore jobs ignore them.
+ * XPS_BATCH and XPS_REDUCE_WORKLOADS reach the Explorer only through
+ * the cached experiment pipeline (experimentContext() copies them into
+ * ExplorerOptions). Hand-built ExplorerOptions and the serve daemon's
+ * explore jobs ignore them.
+ *
+ * The README's knob table is the one list of every XPS_* variable the
+ * library and tools read, with defaults; util_test checks it against
+ * the source tree.
  *
  * Malformed numeric values (garbage, overflow, and negatives where a
  * count is expected) warn once and fall back to the documented

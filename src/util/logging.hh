@@ -4,50 +4,48 @@
  * progress messages, warn() for suspicious-but-survivable conditions,
  * fatal() for user errors (bad configuration or arguments) and panic()
  * for internal invariant violations (library bugs).
+ *
+ * Each call is one event of the structured log (obs/log.hh) — inform
+ * at info, verbose at debug, warn at warn, fatal and panic at error —
+ * printed to stderr as "[info|verb|warn|fatal|panic] msg" when its
+ * level passes the XPS_LOG_LEVEL floor (default info), and recorded in
+ * the JSON stream when XPS_LOG_JSON is armed.
  */
 
 #ifndef XPS_UTIL_LOGGING_HH
 #define XPS_UTIL_LOGGING_HH
 
-#include <cstdio>
-#include <cstdlib>
 #include <string>
+
+#include "obs/log.hh"
 
 namespace xps
 {
 
-/** Verbosity levels for inform(); fatal/panic always print. */
-enum class LogLevel { Quiet = 0, Normal = 1, Verbose = 2 };
-
-/** Get the process-wide log level (default Normal, override with
- *  the XPS_LOG environment variable: quiet|normal|verbose). */
-LogLevel logLevel();
-
-/** Override the process-wide log level programmatically. */
-void setLogLevel(LogLevel level);
-
 namespace detail
 {
-[[noreturn]] void die(const char *kind, const std::string &msg);
-void emit(const char *kind, LogLevel min_level, const std::string &msg);
 std::string format(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 } // namespace detail
 
-/** Print an informational message (suppressed when quiet). */
+/** Print an informational message (hidden below the info floor). */
 template <typename... Args>
 void
 inform(const char *fmt, Args... args)
 {
-    detail::emit("info", LogLevel::Normal, detail::format(fmt, args...));
+    if (obs::log::passesFloor(obs::log::Level::Info))
+        obs::log::detail::report(obs::log::Level::Info, "info",
+                                 detail::format(fmt, args...));
 }
 
-/** Print a verbose progress message (only when verbose). */
+/** Print a verbose progress message (only at the debug floor). */
 template <typename... Args>
 void
 verbose(const char *fmt, Args... args)
 {
-    detail::emit("verb", LogLevel::Verbose, detail::format(fmt, args...));
+    if (obs::log::passesFloor(obs::log::Level::Debug))
+        obs::log::detail::report(obs::log::Level::Debug, "verb",
+                                 detail::format(fmt, args...));
 }
 
 /** Print a warning about a survivable but suspicious condition. */
@@ -55,7 +53,9 @@ template <typename... Args>
 void
 warn(const char *fmt, Args... args)
 {
-    detail::emit("warn", LogLevel::Quiet, detail::format(fmt, args...));
+    if (obs::log::passesFloor(obs::log::Level::Warn))
+        obs::log::detail::report(obs::log::Level::Warn, "warn",
+                                 detail::format(fmt, args...));
 }
 
 /** Terminate due to a user error (bad configuration, bad arguments). */
@@ -63,7 +63,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(const char *fmt, Args... args)
 {
-    detail::die("fatal", detail::format(fmt, args...));
+    obs::log::detail::die("fatal", detail::format(fmt, args...), false);
 }
 
 /** Terminate due to an internal invariant violation (a library bug). */
@@ -71,7 +71,7 @@ template <typename... Args>
 [[noreturn]] void
 panic(const char *fmt, Args... args)
 {
-    detail::die("panic", detail::format(fmt, args...));
+    obs::log::detail::die("panic", detail::format(fmt, args...), true);
 }
 
 } // namespace xps

@@ -1,5 +1,7 @@
 #include "util/metrics.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
@@ -13,19 +15,18 @@
 namespace xps
 {
 
-namespace detail
-{
-bool gHistogramsEnabled = false;
-} // namespace detail
-
 namespace
 {
+
+/** The process the program started in: the only one that dumps;
+ *  forked workers never do. */
+const pid_t gOriginPid = ::getpid();
 
 void
 dumpGlobalAtExit()
 {
     const std::string path = envString("XPS_METRICS_JSON", "");
-    if (!path.empty())
+    if (!path.empty() && ::getpid() == gOriginPid)
         Metrics::global().writeJson(path);
 }
 
@@ -96,26 +97,11 @@ Metrics::global()
 {
     static Metrics *instance = [] {
         auto *m = new Metrics();
-        if (!envString("XPS_METRICS_JSON", "").empty()) {
+        if (!envString("XPS_METRICS_JSON", "").empty())
             std::atexit(dumpGlobalAtExit);
-            // A metrics consumer wants the latency distributions too.
-            enableHistograms();
-        }
         return m;
     }();
     return *instance;
-}
-
-void
-Metrics::enableHistograms()
-{
-    detail::gHistogramsEnabled = true;
-}
-
-void
-Metrics::disableHistogramsForTest()
-{
-    detail::gHistogramsEnabled = false;
 }
 
 Histogram &

@@ -13,12 +13,16 @@
  *   checkpoint.writes        explore.anneal_seconds
  *
  * Latency distributions (DESIGN.md §10): log-scaled Histograms record
- * nanosecond durations of sim runs, anneal steps and worker jobs.
- * They are off by default — recording needs a clock read per event,
- * which the annealing microbenchmark would notice — and armed by
- * Metrics::enableHistograms() (implied by XPS_METRICS_JSON, an armed
- * tracer, or the bench harness). Call sites guard the clock reads
- * with the one-predicted-branch Metrics::histogramsEnabled().
+ * nanosecond durations of sim runs, anneal steps, worker jobs and the
+ * serve daemon's request layers. They are always on: a clock read and
+ * a few relaxed atomic adds per event, below the noise of every
+ * end-to-end benchmark, so `metrics` and `xps-client top` always
+ * answer.
+ *
+ * The XPS_METRICS_JSON dump follows the shard sinks' owner rule
+ * (obs/shard_sink.hh): only the process that started the run writes
+ * it at exit — a forked worker, even one leaving through exit(),
+ * never clobbers it with its partial view.
  */
 
 #ifndef XPS_UTIL_METRICS_HH
@@ -35,12 +39,6 @@
 
 namespace xps
 {
-
-namespace detail
-{
-/** True iff histogram recording is armed (see enableHistograms). */
-extern bool gHistogramsEnabled;
-} // namespace detail
 
 /** One monotonic counter; handles stay valid for process lifetime. */
 class Counter
@@ -199,21 +197,6 @@ class Metrics
     /** Look up (or create) a histogram; the reference stays valid
      *  for the registry lifetime — hot paths must cache it. */
     Histogram &histogram(const std::string &name);
-
-    /** One predicted branch: should call sites pay the clock reads
-     *  that feed Histogram::record()? */
-    static bool
-    histogramsEnabled()
-    {
-        return __builtin_expect(detail::gHistogramsEnabled, 0);
-    }
-
-    /** Arm histogram recording process-wide (sticky). Implied by
-     *  XPS_METRICS_JSON, obs::configureTracing() and the benches. */
-    static void enableHistograms();
-
-    /** Disarm histogram recording (tests only). */
-    static void disableHistogramsForTest();
 
     /** Point-in-time summary of one histogram. */
     struct HistogramSummary

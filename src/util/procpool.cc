@@ -244,10 +244,6 @@ ProcPool::spawn(uint64_t ticket)
         // and race a resumed run for the checkpoint files.
         ::prctl(PR_SET_PDEATHSIG, SIGKILL);
 #endif
-        // A fatal() in the child exits through atexit handlers;
-        // the inherited metrics dump must not clobber the
-        // parent's XPS_METRICS_JSON with a partial child view.
-        ::unsetenv("XPS_METRICS_JSON");
         g_beat_fd = pipe_fds[1];
         g_last_beat = Clock::now();
         g_beat_interval = opts_.heartbeatTimeoutSeconds > 0
@@ -314,9 +310,8 @@ ProcPool::recordAttempt(const Active &a, Clock::time_point end,
                 .add("outcome", attempt.outcome)
                 .str());
     }
-    if (Metrics::histogramsEnabled())
-        Metrics::global().histogram("pool.job").record(
-            monoNs(end) - monoNs(a.start));
+    Metrics::global().histogram("pool.job").record(monoNs(end) -
+                                                   monoNs(a.start));
     o.attemptLog.push_back(std::move(attempt));
 }
 

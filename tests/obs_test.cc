@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -408,13 +411,11 @@ TEST(WorkerMetrics, ForkedWorkerDoesNotClobberParentDump)
     ProcPool pool(pool_opts);
     std::vector<ProcJob> jobs(1);
     jobs[0].name = "envcheck";
-    jobs[0].run = [] {
-        // The suppression contract: the variable must be gone inside
-        // the worker, and even an exit() that runs atexit handlers
-        // must not dump a partial child registry over the parent's
-        // file.
-        if (!envString("XPS_METRICS_JSON", "").empty())
-            return 1;
+    jobs[0].run = []() -> int {
+        // The suppression contract: only the process that started
+        // the run dumps, so even a worker exit() that runs atexit
+        // handlers with XPS_METRICS_JSON still set must not dump a
+        // partial child registry over the parent's file.
         Metrics::global().counter("worker.private").add();
         std::exit(0);
     };
@@ -724,11 +725,11 @@ TEST(ObsLog, RateLimitSuppressesAndSummarizes)
     obs::setClockForTest(&fakeClock);
     const uint64_t sup0 =
         Metrics::global().counter("log.suppressed").get();
-    obs::log::configureLogging(path, obs::log::Level::Info, 5);
-    for (int i = 0; i < 20; ++i)
+    obs::log::configureLogging(path, obs::log::Level::Info);
+    for (int i = 0; i < 210; ++i)
         obs::log::event(obs::log::Level::Info, "spammy", "spam");
     EXPECT_EQ(Metrics::global().counter("log.suppressed").get() - sup0,
-              15u);
+              10u);
     // Rolling past the one-second window emits one summary event in
     // place of the suppressed ones.
     g_fake_now += 2000ull * 1000 * 1000;
@@ -736,19 +737,100 @@ TEST(ObsLog, RateLimitSuppressesAndSummarizes)
     const obs::log::LogMergeStats stats = obs::log::mergeLog();
     obs::log::disableLogging();
     obs::setClockForTest(nullptr);
-    EXPECT_EQ(stats.lines, 7u); // 5 kept + 1 summary + 1 fresh
+    EXPECT_EQ(stats.lines, 202u); // 200 kept + 1 summary + 1 fresh
     size_t spam = 0, summaries = 0;
     for (const auto &ev : loadMergedLog(path)) {
         const std::string msg = ev.stringOr("msg", "");
         if (msg == "spam")
             ++spam;
-        if (msg.find("suppressed 15 event(s)") != std::string::npos) {
+        if (msg.find("suppressed 10 event(s)") != std::string::npos) {
             ++summaries;
             EXPECT_EQ(ev.stringOr("level", ""), "warn");
         }
     }
-    EXPECT_EQ(spam, 5u);
+    EXPECT_EQ(spam, 200u);
     EXPECT_EQ(summaries, 1u);
+    std::filesystem::remove_all(dir);
+}
+
+// A flood whose window no later event rolls still reaches the merged
+// log: the pending summary is written when the log flushes for merge.
+TEST(ObsLog, FloodSummaryWrittenAtMerge)
+{
+    const std::string dir = freshDir("log_flood");
+    const std::string path = dir + "/log.jsonl";
+    g_fake_now = 0;
+    obs::setClockForTest(&fakeClock);
+    obs::log::configureLogging(path);
+    for (int i = 0; i < 250; ++i) // 250 µs of fake time: one window
+        obs::log::event(obs::log::Level::Warn, "flood", "spam");
+    const obs::log::LogMergeStats stats = obs::log::mergeLog();
+    obs::log::disableLogging();
+    obs::setClockForTest(nullptr);
+    EXPECT_EQ(stats.lines, 201u); // 200 kept + 1 summary
+    size_t summaries = 0;
+    for (const auto &ev : loadMergedLog(path)) {
+        const std::string msg = ev.stringOr("msg", "");
+        if (msg.find("rate limit") == std::string::npos)
+            continue;
+        ++summaries;
+        EXPECT_NE(msg.find("suppressed 50 event(s) from flood"),
+                  std::string::npos)
+            << msg;
+    }
+    EXPECT_EQ(summaries, 1u);
+    std::filesystem::remove_all(dir);
+}
+
+// A merge that cannot write its whole output (a full disk) must not
+// publish a truncated file, and must keep the shards it could not
+// merge. Both sinks, in a child so the file-size limit stays there.
+TEST(ShardSink, FullDiskPublishesNothingAndKeepsShards)
+{
+    const std::string dir = freshDir("fulldisk");
+    const std::string trace = dir + "/trace.json";
+    const std::string log = dir + "/log.jsonl";
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        obs::configureTracing(trace);
+        obs::log::configureLogging(log);
+        for (int i = 0; i < 100; ++i) {
+            obs::instant("filler", "test");
+            obs::log::event(obs::log::Level::Info, "test", "filler");
+        }
+        obs::flushTrace();
+        obs::log::flushLog();
+        // Each merged file is several KiB; past 512 bytes every write
+        // fails with EFBIG.
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit limit{};
+        ::getrlimit(RLIMIT_FSIZE, &limit);
+        limit.rlim_cur = 512;
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        obs::mergeTrace();
+        obs::log::mergeLog();
+        Metrics &m = Metrics::global();
+        ::_exit(m.counter("trace.merge_failed").get() == 1 &&
+                        m.counter("log.merge_failed").get() == 1
+                    ? 0
+                    : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "merge failures not counted";
+    EXPECT_FALSE(std::filesystem::exists(trace));
+    EXPECT_FALSE(std::filesystem::exists(log));
+    const std::string child = std::to_string(pid);
+    EXPECT_TRUE(std::filesystem::exists(trace + ".shards/shard." +
+                                        child + ".jsonl"));
+    EXPECT_TRUE(std::filesystem::exists(log + ".shards/log." + child +
+                                        ".jsonl"));
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << entry.path();
     std::filesystem::remove_all(dir);
 }
 
@@ -840,7 +922,6 @@ TEST(Tracer, FlowEventsLinkRidStampedSpansAcrossPids)
 // result channel — the daemon's `metrics` op sees worker sim time.
 TEST(WorkerMetrics, RollupFoldsWorkerSamplesIntoParent)
 {
-    Metrics::enableHistograms();
     Metrics &m = Metrics::global();
     const uint64_t count0 = m.histogram("rollup.sim").count();
     const uint64_t sum0 = m.histogram("rollup.sim").sumNs();

@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -667,10 +668,10 @@ histIn(const obs::json::Value &v, const char *name, const char *field)
 }
 
 /**
- * Run the production xps-client against `sock` with tracing armed in
- * shard-only mode (XPS_TRACE_MERGE=0): the client contributes its
- * shard to the daemon-owned trace and the daemon merges at exit.
- * Returns the client's exit code (-1 on abnormal death).
+ * Run the production xps-client against `sock` with tracing armed:
+ * the client joins the daemon's session, contributing its shard to
+ * the daemon-owned trace, and the daemon merges at exit. Returns the
+ * client's exit code (-1 on abnormal death).
  */
 int
 runTracedClient(const std::string &sock, const std::string &dir,
@@ -682,7 +683,6 @@ runTracedClient(const std::string &sock, const std::string &dir,
         ::setenv("XPS_RESULTS_DIR", dir.c_str(), 1);
         ::setenv("XPS_SERVE_SOCKET", sock.c_str(), 1);
         ::setenv("XPS_TRACE_JSON", tracePath.c_str(), 1);
-        ::setenv("XPS_TRACE_MERGE", "0", 1);
         ::unsetenv("XPS_METRICS_JSON");
         ::unsetenv("XPS_FAULTS");
         const std::string log = dir + "/client.log";
@@ -698,7 +698,73 @@ runTracedClient(const std::string &sock, const std::string &dir,
     return WEXITSTATUS(status);
 }
 
+/** `xps-client top` against `sock`: its stdout. */
+std::string
+clientTop(const std::string &sock, const std::string &dir)
+{
+    const std::string out = dir + "/top.txt";
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::setenv("XPS_RESULTS_DIR", dir.c_str(), 1);
+        ::freopen(out.c_str(), "w", stdout);
+        ::execl(XPS_CLIENT_BIN, XPS_CLIENT_BIN, "--socket", sock.c_str(),
+                "top", static_cast<char *>(nullptr));
+        ::_exit(127);
+    }
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    std::ifstream in(out);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
 } // namespace
+
+// Latency histograms are always on: a daemon with no metrics, trace
+// or log knob at all still answers `metrics` with percentiles, and
+// `xps-client top` renders them.
+TEST(ServeMetrics, HistogramsAnswerWithNoObservabilityKnobs)
+{
+    for (const char *knob :
+         {"XPS_METRICS_JSON", "XPS_METRICS_EXPORT_S", "XPS_TRACE_JSON",
+          "XPS_LOG_JSON", "XPS_LOG_LEVEL"})
+        ::unsetenv(knob);
+    const std::string dir = shortTempDir();
+    Daemon d(dir);
+    d.flags = {"--workers", "1"};
+    d.start();
+
+    ASSERT_EQ(statusOf(rpc(d.sock, kWhatifReq, 120.0)), "ok");
+    const std::string live =
+        rpc(d.sock, "{\"op\":\"metrics\",\"id\":\"m1\"}");
+    ASSERT_EQ(statusOf(live), "ok") << live;
+    obs::json::Value v;
+    ASSERT_TRUE(obs::json::parse(live, v)) << live;
+    EXPECT_GT(histIn(v, "serve.job", "count"), 0.0) << live;
+    EXPECT_GT(histIn(v, "sim.run", "count"), 0.0) << live;
+
+    // top's latency table: name, count, p50, p95, p99, max (ms).
+    const std::string top = clientTop(d.sock, dir);
+    for (const std::string name : {"serve.job", "sim.run"}) {
+        std::istringstream lines(top);
+        std::string line;
+        bool found = false;
+        while (std::getline(lines, line)) {
+            std::istringstream row(line);
+            std::string first;
+            double count = 0, p50 = 0, p95 = 0, p99 = 0;
+            if (!(row >> first) || first != name)
+                continue;
+            found = static_cast<bool>(row >> count >> p50 >> p95 >> p99);
+            EXPECT_GT(count, 0.0) << line;
+            EXPECT_GT(p50, 0.0) << line;
+            EXPECT_GE(p99, p50) << line;
+        }
+        EXPECT_TRUE(found) << name << " missing from top:\n" << top;
+    }
+    d.stopGracefully();
+    fs::remove_all(dir);
+}
 
 // The metrics op is the live view of the same registry the at-exit
 // XPS_METRICS_JSON dump serializes: counters and percentiles agree,

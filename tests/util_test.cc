@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for src/util: RNG distributions, statistics helpers,
- * table rendering, CSV round-trips and environment knobs.
+ * table rendering, CSV round-trips, environment knobs and the README
+ * knob inventory.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
+#include <sstream>
 
 #include "util/atomic_file.hh"
 #include "util/csv.hh"
@@ -520,6 +523,52 @@ TEST(Env, BudgetHasSaneDefaults)
     EXPECT_GT(b.finalInstrs, 0u);
     EXPECT_GE(b.threads, 1);
     EXPECT_FALSE(b.resultsDir.empty());
+}
+
+// The README's knob table is the one list of every XPS_* variable
+// src/ reads: a knob missing from it, or a row no code reads, fails.
+// The count is a ratchet — a new knob has to earn its row here.
+TEST(Env, KnobInventoryMatchesReadme)
+{
+    const std::filesystem::path root = XPS_REPO_DIR;
+    const std::regex read(
+        R"re((?:envString|envUInt|envInt|getenv)\(\s*"(XPS_[A-Z0-9_]+)")re");
+    std::set<std::string> code;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(root / "src")) {
+        const std::string ext = entry.path().extension().string();
+        if (ext != ".cc" && ext != ".hh")
+            continue;
+        std::ifstream in(entry.path());
+        std::stringstream text;
+        text << in.rdbuf();
+        const std::string src = text.str();
+        for (std::sregex_iterator it(src.begin(), src.end(), read), end;
+             it != end; ++it)
+            code.insert((*it)[1]);
+    }
+
+    std::ifstream readme(root / "README.md");
+    ASSERT_TRUE(readme) << root / "README.md";
+    const std::regex row(R"(^\| `(XPS_[A-Z0-9_]+)` \|)");
+    std::set<std::string> table;
+    std::string line;
+    while (std::getline(readme, line)) {
+        std::smatch m;
+        if (std::regex_search(line, m, row)) {
+            EXPECT_TRUE(table.insert(m[1]).second)
+                << m[1] << " has two rows";
+        }
+    }
+
+    for (const std::string &knob : code)
+        EXPECT_TRUE(table.count(knob))
+            << knob << " is read in src/ but missing from the README "
+                       "knob table";
+    for (const std::string &knob : table)
+        EXPECT_TRUE(code.count(knob))
+            << knob << " has a README row but nothing in src/ reads it";
+    EXPECT_EQ(code.size(), 26u);
 }
 
 // --- atomic file ---------------------------------------------------------
