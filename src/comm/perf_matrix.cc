@@ -11,6 +11,7 @@
 
 #include "explore/checkpoint.hh"
 #include "explore/supervisor.hh"
+#include "sim/cells.hh"
 #include "sim/simulator.hh"
 #include "util/atomic_file.hh"
 #include "util/csv.hh"
@@ -270,7 +271,7 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
                 continue;
             SimOptions opts = proto;
             opts.trace = traces[w];
-            ipt[w][c] = simulate(suite[w], configs[c], opts).ipt();
+            ipt[w][c] = simulateCell(suite[w], configs[c], opts).ipt();
             metrics.counter("perf_matrix.cells_computed").add();
             if (partial) {
                 // One line per cell, serialized and flushed: a crash

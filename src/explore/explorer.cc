@@ -1,5 +1,6 @@
 #include "explore/explorer.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include "obs/log.hh"
 #include "obs/tracer.hh"
 #include "sim/batch.hh"
+#include "sim/cells.hh"
 #include "util/atomic_file.hh"
 #include "util/env.hh"
 #include "util/kmeans.hh"
@@ -40,6 +42,32 @@ archKey(const CoreConfig &cfg)
         << '|' << cfg.l2Sets << '|' << cfg.l2Assoc << '|'
         << cfg.l2LineBytes << '|' << cfg.l2Cycles;
     return key.str();
+}
+
+/** The options of one explorer evaluation: `instrs` measured after
+ *  the default warmup, on stream 0. */
+SimOptions
+evalOptions(uint64_t instrs, std::shared_ptr<const TraceBuffer> trace)
+{
+    SimOptions opts;
+    opts.measureInstrs = instrs;
+    opts.trace = std::move(trace);
+    return opts;
+}
+
+/** The first config of each architecture in `configs`, in order. */
+std::vector<CoreConfig>
+distinctArchs(const std::vector<CoreConfig> &configs)
+{
+    std::vector<CoreConfig> out;
+    for (const CoreConfig &cfg : configs) {
+        if (std::none_of(out.begin(), out.end(),
+                         [&](const CoreConfig &seen) {
+                             return seen.sameArch(cfg);
+                         }))
+            out.push_back(cfg);
+    }
+    return out;
 }
 
 std::vector<std::pair<std::string, double>>
@@ -71,10 +99,8 @@ Explorer::evaluate(const WorkloadProfile &profile,
                    const CoreConfig &config, uint64_t instrs,
                    std::shared_ptr<const TraceBuffer> trace)
 {
-    SimOptions opts;
-    opts.measureInstrs = instrs;
-    opts.trace = std::move(trace);
-    return simulate(profile, config, opts).ipt();
+    return simulate(profile, config,
+                    evalOptions(instrs, std::move(trace))).ipt();
 }
 
 std::vector<size_t>
@@ -465,7 +491,9 @@ Explorer::exploreAll()
         if (it != m.end())
             return it->second;
         const double ipt =
-            evaluate(suite_[w], cfg, opts_.evalInstrs, traces[w]);
+            simulateCell(suite_[w], cfg,
+                         evalOptions(opts_.evalInstrs, traces[w]))
+                .ipt();
         evals[w].fetch_add(1, std::memory_order_relaxed);
         m.emplace(key, ipt);
         return ipt;
@@ -636,6 +664,28 @@ Explorer::exploreAll()
                     "explore.adopt", "explore", [&] {
                         return obs::Args().add("round", round);
                     });
+                // Every config the serial loop below can offer a
+                // workload is one of the incumbents it starts from:
+                // simulate the ones memo[w] lacks in parallel first.
+                std::vector<CoreConfig> incumbents;
+                for (size_t w = 0; w < n; ++w) {
+                    if (rep[w] == w)
+                        incumbents.push_back(current[w]);
+                }
+                incumbents = distinctArchs(incumbents);
+                std::vector<Cell> cells;
+                for (size_t w = 0; w < n; ++w) {
+                    if (rep[w] != w)
+                        continue;
+                    for (const CoreConfig &cfg : incumbents) {
+                        if (!memo[w].count(archKey(cfg)))
+                            cells.push_back(
+                                {suite_[w], cfg,
+                                 evalOptions(opts_.evalInstrs,
+                                             traces[w])});
+                    }
+                }
+                prefetchCells(cells, opts_.threads);
                 for (size_t w = 0; w < n; ++w) {
                     if (rep[w] != w)
                         continue; // non-reps inherit after the rounds
@@ -712,16 +762,34 @@ Explorer::exploreAll()
     const uint64_t score_instrs = opts_.finalEvalInstrs > 0
                                       ? opts_.finalEvalInstrs
                                       : opts_.evalInstrs;
-    // The registry grows each trace in place of regenerating it; the
-    // annealing-length buffers above remain valid for their holders.
+    // The serial scoring and gross-adoption loops below only ever
+    // offer a workload one of the configs they start from: simulate
+    // those cells in parallel first, growing each final-length trace
+    // on the pool, and let the loops read the memo. The registry
+    // grows a trace by copying it, so the annealing-length buffers
+    // are dropped first, or all of them would outlive the growth.
+    traces.assign(n, nullptr);
+    {
+        const std::vector<CoreConfig> finalists = distinctArchs(current);
+        std::vector<Cell> cells;
+        for (size_t w = have_final_ipt ? adopt_index : 0; w < n; ++w) {
+            for (const CoreConfig &cfg : finalists)
+                cells.push_back(
+                    {suite_[w], cfg, evalOptions(score_instrs, nullptr)});
+        }
+        prefetchCells(cells, opts_.threads);
+    }
     for (size_t w = 0; w < n; ++w)
         traces[w] = sharedTrace(suite_[w], 0, 2 * score_instrs);
+    auto score = [&](size_t w, const CoreConfig &cfg) {
+        evals[w].fetch_add(1, std::memory_order_relaxed);
+        return simulateCell(suite_[w], cfg,
+                            evalOptions(score_instrs, traces[w]))
+            .ipt();
+    };
     if (!have_final_ipt) {
-        for (size_t w = 0; w < n; ++w) {
-            final_ipt[w] = evaluate(suite_[w], current[w],
-                                    score_instrs, traces[w]);
-            evals[w].fetch_add(1, std::memory_order_relaxed);
-        }
+        for (size_t w = 0; w < n; ++w)
+            final_ipt[w] = score(w, current[w]);
         write_suite_ckpt(opts_.rounds,
                          SuiteCheckpoint::Phase::FinalScored, 0);
         adopt_index = 0;
@@ -730,9 +798,7 @@ Explorer::exploreAll()
         for (size_t other = 0; other < n; ++other) {
             if (other == w || current[other].sameArch(current[w]))
                 continue;
-            const double ipt = evaluate(suite_[w], current[other],
-                                        score_instrs, traces[w]);
-            evals[w].fetch_add(1, std::memory_order_relaxed);
+            const double ipt = score(w, current[other]);
             if (ipt > final_ipt[w] *
                           (1.0 + opts_.grossAdoptionMargin)) {
                 current[w] = current[other];

@@ -80,13 +80,16 @@ renderMetrics(std::ostringstream &out, const ReportPaths &paths)
         << percent(static_cast<double>(rollbacks),
                    static_cast<double>(steps))
         << ")\n";
-    const uint64_t hits = counterOf(metrics, "trace_cache.hits");
-    const uint64_t misses = counterOf(metrics, "trace_cache.misses");
-    out << "  trace cache        " << hits << " hits / " << misses
-        << " misses ("
-        << percent(static_cast<double>(hits),
-                   static_cast<double>(hits + misses))
-        << " hit ratio)\n";
+    auto hitLine = [&](const char *label, const std::string &prefix) {
+        const uint64_t hits = counterOf(metrics, prefix + ".hits");
+        const uint64_t misses = counterOf(metrics, prefix + ".misses");
+        out << label << hits << " hits / " << misses << " misses ("
+            << percent(static_cast<double>(hits),
+                       static_cast<double>(hits + misses))
+            << " hit ratio)\n";
+    };
+    hitLine("  trace cache        ", "trace_cache");
+    hitLine("  cell memo          ", "cells");
     out << "  checkpoint writes  "
         << counterOf(metrics, "checkpoint.writes") << "\n";
 

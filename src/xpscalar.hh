@@ -18,7 +18,9 @@
  *  - xps::CoreConfig: one superscalar configuration (Tables 3/4).
  *  - xps::UnitTiming / xps::CactiLite: the access-time model and the
  *    pipeline-fitting rule that couples units through the clock.
- *  - xps::simulate(): cycle-level out-of-order timing simulation.
+ *  - xps::simulate(): cycle-level out-of-order timing simulation;
+ *    xps::simulateCell(): the same through the process-wide cell
+ *    memo.
  *  - xps::Explorer / xps::Annealer / xps::SearchSpace: the
  *    simulated-annealing design-space exploration (xp-scalar proper);
  *    its output is the *configurational characterization*.
@@ -44,6 +46,7 @@
 #include "explore/search_space.hh"
 #include "sim/area_power.hh"
 #include "sim/cache.hh"
+#include "sim/cells.hh"
 #include "sim/config.hh"
 #include "sim/ooo_core.hh"
 #include "sim/sim_stats.hh"

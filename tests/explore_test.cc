@@ -5,7 +5,8 @@
  * objectives and honours the paper's rollback rule, the explorer
  * produces customized configurations end to end on a small budget,
  * and workload reduction (ExplorerOptions::reduceWorkloads) is pinned,
- * propagates representatives and kill/resumes bit-identically.
+ * propagates representatives and kill/resumes bit-identically, and
+ * the thread count changes neither results nor checkpoint bytes.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +16,18 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
+#include "comm/perf_matrix.hh"
 #include "explore/annealer.hh"
 #include "explore/explorer.hh"
 #include "explore/search_space.hh"
+#include "sim/cells.hh"
+#include "util/atomic_file.hh"
 
 using namespace xps;
 
@@ -439,6 +446,9 @@ TEST(ReduceWorkloads, ReducedRunKillResumeIsBitIdentical)
     ExplorerOptions opts = miniOpts(9);
     opts.reduceWorkloads = 1;
     const auto golden = Explorer(miniSuite(), opts).exploreAll();
+    // The resumed runs must simulate their final pass, not read the
+    // golden's cells.
+    clearCells();
     for (int kill_after : {2, 5}) {
         const std::string dir =
             freshDir("reduce_kill" + std::to_string(kill_after));
@@ -450,5 +460,59 @@ TEST(ReduceWorkloads, ReducedRunKillResumeIsBitIdentical)
         const auto resumed = Explorer(miniSuite(), resume).exploreAll();
         expectResultsIdentical(resumed, golden);
         std::filesystem::remove_all(dir);
+    }
+}
+
+// --- thread count ----------------------------------------------------------
+
+TEST(Explorer, ThreadCountChangesNoResultAndNoCheckpointByte)
+{
+    // Annealing, the adoption prefetch and the final-pass prefetch all
+    // run on the pool; every decision and every checkpoint byte must
+    // be the serial run's.
+    const std::vector<WorkloadProfile> suite = {
+        profileByName("gzip"), profileByName("mcf"),
+        profileByName("gcc"), profileByName("twolf")};
+    // Checkpoint contents by file name, in write order per file (each
+    // file has one writer at a time, so that order is deterministic).
+    using Writes = std::map<std::string, std::vector<std::string>>;
+    auto run = [&](int threads, Writes &writes) {
+        clearCells();
+        const std::string dir =
+            freshDir("threads" + std::to_string(threads));
+        ExplorerOptions opts = miniOpts(9);
+        opts.threads = threads;
+        opts.checkpointEvery = 4;
+        opts.checkpointDir = dir;
+        std::mutex mutex;
+        opts.checkpointWrittenHook = [&](const std::string &path) {
+            std::string content;
+            EXPECT_TRUE(readFile(path, content)) << path;
+            std::lock_guard<std::mutex> lock(mutex);
+            writes[std::filesystem::path(path).filename().string()]
+                .push_back(content);
+        };
+        const auto results = Explorer(suite, opts).exploreAll();
+        std::filesystem::remove_all(dir);
+        return results;
+    };
+    Writes serial_writes, pooled_writes;
+    const auto serial = run(1, serial_writes);
+    const auto pooled = run(3, pooled_writes);
+    expectResultsIdentical(pooled, serial);
+    EXPECT_EQ(serial_writes.size(), suite.size() + 1); // + suite.ckpt
+    EXPECT_TRUE(pooled_writes == serial_writes);
+
+    std::vector<CoreConfig> configs;
+    for (const WorkloadResult &r : serial)
+        configs.push_back(r.best);
+    clearCells();
+    const PerfMatrix one = PerfMatrix::build(suite, configs, 8000, 1);
+    clearCells();
+    const PerfMatrix three = PerfMatrix::build(suite, configs, 8000, 3);
+    for (size_t w = 0; w < suite.size(); ++w) {
+        for (size_t c = 0; c < suite.size(); ++c)
+            EXPECT_EQ(one.ipt(w, c), three.ipt(w, c))
+                << "cell (" << w << ", " << c << ")";
     }
 }

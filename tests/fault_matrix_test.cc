@@ -29,6 +29,7 @@
 #include "comm/perf_matrix.hh"
 #include "explore/explorer.hh"
 #include "explore/supervisor.hh"
+#include "sim/cells.hh"
 #include "util/env.hh"
 #include "util/fault.hh"
 #include "util/rng.hh"
@@ -274,8 +275,11 @@ TEST_P(FaultMatrix, OneInjectedFaultIsInvisibleInTheResults)
     }
 
     // Every other site lives in the supervised exploration path.
-    // Golden first, for the same armed-visit-count reason as above.
+    // Golden first, for the same armed-visit-count reason as above;
+    // then forget its cells, so the faulted run's adoption and final
+    // pass simulate under the schedule instead of reading them.
     const auto &golden = goldenExploration();
+    clearCells();
     const std::string work = freshDir(tag + "_w");
     const std::string ckpt = freshDir(tag + "_c");
     ExplorerOptions opts = miniOpts(9);

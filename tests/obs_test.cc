@@ -440,6 +440,7 @@ TEST(Report, RendersSyntheticRun)
     "anneal.accepts": 60, "anneal.rejects": 40,
     "anneal.rollbacks": 5, "anneal.evaluations": 100,
     "trace_cache.hits": 8, "trace_cache.misses": 2,
+    "cells.hits": 3, "cells.misses": 1,
     "checkpoint.writes": 7
   },
   "timers_seconds": {"explore.anneal_seconds": 1.5},
@@ -501,6 +502,10 @@ TEST(Report, RendersSyntheticRun)
     const std::string report = obs::renderReport(paths);
 
     EXPECT_NE(report.find("80.0% hit ratio"), std::string::npos)
+        << report;
+    EXPECT_NE(report.find("cell memo          3 hits / 1 misses "
+                          "(75.0% hit ratio)"),
+              std::string::npos)
         << report;
     EXPECT_NE(report.find("accept 60.0%"), std::string::npos);
     EXPECT_NE(report.find("sim.run"), std::string::npos);
