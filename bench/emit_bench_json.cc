@@ -5,10 +5,13 @@
  * evaluation paths, the generator-vs-replay op cost, and a full
  * annealer round, then writes BENCH_results.json (argv[1], default
  * ./BENCH_results.json). `make bench-json` runs it from the build
- * tree. Timings are min-of-N wall clock — robust against a noisy
- * host; see README.md "Benchmarking".
+ * tree. Streaming and traced are timed as interleaved pairs and each
+ * speedup is the median of the per-pair ratios, so host drift hits
+ * both sides of a ratio alike; the op-stream costs are min-of-N. See
+ * README.md "Benchmarking".
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -17,12 +20,10 @@
 
 #include "explore/annealer.hh"
 #include "explore/search_space.hh"
-#include "sim/batch.hh"
 #include "sim/simulator.hh"
 #include "timing/unit_timing.hh"
 #include "util/metrics.hh"
 #include "util/procpool.hh"
-#include "util/rng.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 #include "workload/trace.hh"
@@ -35,58 +36,73 @@ namespace
 using Clock = std::chrono::steady_clock;
 
 double
+timeMs(const std::function<void()> &body)
+{
+    const auto t0 = Clock::now();
+    body();
+    const std::chrono::duration<double, std::milli> dt =
+        Clock::now() - t0;
+    return dt.count();
+}
+
+double
 minOfN(int reps, const std::function<void()> &body)
 {
     double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-        const auto t0 = Clock::now();
-        body();
-        const std::chrono::duration<double, std::milli> dt =
-            Clock::now() - t0;
-        if (dt.count() < best)
-            best = dt.count();
-    }
+    for (int r = 0; r < reps; ++r)
+        best = std::min(best, timeMs(body));
     return best;
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/** Streaming-vs-traced timing of one body pair. */
+struct PairTiming
+{
+    double streamingMs; ///< median over the pairs
+    double tracedMs;    ///< median over the pairs
+    double speedup;     ///< median of the per-pair ratios
+};
+
+/**
+ * Time `streaming` and `traced` as `reps` back-to-back pairs, after
+ * one untimed run of each (trace decode, cold caches). The order
+ * within a pair alternates so neither side always runs second.
+ */
+PairTiming
+interleavedPairs(int reps, const std::function<void()> &streaming,
+                 const std::function<void()> &traced)
+{
+    streaming();
+    traced();
+    std::vector<double> s, t, ratio;
+    for (int r = 0; r < reps; ++r) {
+        double sm, tm;
+        if (r % 2 == 0) {
+            sm = timeMs(streaming);
+            tm = timeMs(traced);
+        } else {
+            tm = timeMs(traced);
+            sm = timeMs(streaming);
+        }
+        s.push_back(sm);
+        t.push_back(tm);
+        ratio.push_back(sm / tm);
+    }
+    return {median(s), median(t), median(ratio)};
 }
 
 struct SimPair
 {
     std::string name;
-    double streamingMs;
-    double tracedMs;
-    /** ms per config: the 8-config frontier evaluated one scalar
-     *  simulate() at a time — the batched column's fair baseline
-     *  (the frontier's configs are costlier than `initial`). */
-    double frontierScalarMs;
-    /** ms per config of a full-fidelity 8-wide batch of the same
-     *  frontier (no screening): shared decode + shared warmup,
-     *  bit-identical results. */
-    double batchedMs;
-    double speedup() const { return streamingMs / tracedMs; }
-    double batchedSpeedup() const { return frontierScalarMs / batchedMs; }
+    PairTiming timing;
 };
-
-/** The frontier shape a batched annealing round proposes: the
- *  initial config plus distinct neighbours along a seeded walk. */
-std::vector<CoreConfig>
-frontierConfigs(const SearchSpace &space, size_t count,
-                uint64_t seed)
-{
-    std::vector<CoreConfig> configs{space.initialConfig()};
-    Rng rng(seed);
-    while (configs.size() < count) {
-        CoreConfig cand;
-        if (!space.neighbor(configs.back(), rng, cand))
-            continue;
-        bool dup = false;
-        for (const CoreConfig &c : configs)
-            dup = dup ||
-                  configFingerprint(c) == configFingerprint(cand);
-        if (!dup) // duplicates would share a lane and flatter the batch
-            configs.push_back(cand);
-    }
-    return configs;
-}
 
 } // namespace
 
@@ -97,7 +113,7 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : std::string("BENCH_results.json");
     constexpr uint64_t kMeasure = 20000;
     constexpr uint64_t kWarmup = 20000;
-    constexpr int kSimReps = 9;
+    constexpr int kSimReps = 21;
     const CoreConfig cfg = CoreConfig::initial();
 
     // Generator vs replay op cost.
@@ -129,130 +145,69 @@ main(int argc, char **argv)
 
     UnitTiming timing;
     SearchSpace space(timing);
-    constexpr uint32_t kBatchWidth = 8;
 
-    // End-to-end simulate(): streaming vs traced vs config-batched.
-    const std::vector<CoreConfig> frontier =
-        frontierConfigs(space, kBatchWidth, 17);
+    // End-to-end simulate(): streaming vs traced.
     std::vector<SimPair> sims;
     for (const char *name : {"gcc", "gzip", "mcf", "twolf"}) {
         const WorkloadProfile &profile = profileByName(name);
-        SimOptions opts;
-        opts.measureInstrs = kMeasure;
-        opts.warmupInstrs = kWarmup;
-        SimPair pair;
-        pair.name = name;
-        pair.streamingMs = minOfN(kSimReps, [&] {
-            volatile uint64_t c = simulate(profile, cfg, opts).cycles;
-            (void)c;
-        });
-        opts.trace = sharedTrace(profile, opts.streamId,
-                                 opts.traceOps());
-        pair.tracedMs = minOfN(kSimReps, [&] {
-            volatile uint64_t c = simulate(profile, cfg, opts).cycles;
-            (void)c;
-        });
-        // The same 8-config frontier scalar vs batched; ms per
-        // config. Fresh simulator each rep so the result memo cannot
-        // hide the simulation cost.
-        pair.frontierScalarMs = minOfN(5, [&] {
-            for (const CoreConfig &c : frontier) {
-                SimOptions fopts = opts;
-                volatile uint64_t cyc =
-                    simulate(profile, c, fopts).cycles;
-                (void)cyc;
-            }
-        }) / static_cast<double>(kBatchWidth);
-        pair.batchedMs = minOfN(5, [&] {
-            BatchOptions bopts;
-            bopts.measureInstrs = kMeasure;
-            bopts.warmupInstrs = kWarmup;
-            BatchSimulator sim(opts.trace, bopts);
-            volatile uint64_t c = sim.evaluate(frontier)[0].cycles;
-            (void)c;
-        }) / static_cast<double>(kBatchWidth);
+        SimOptions streaming;
+        streaming.measureInstrs = kMeasure;
+        streaming.warmupInstrs = kWarmup;
+        SimOptions traced = streaming;
+        traced.trace = sharedTrace(profile, traced.streamId,
+                                   traced.traceOps());
+        auto run = [&](const SimOptions &opts) {
+            return [&, opts] {
+                volatile uint64_t c =
+                    simulate(profile, cfg, opts).cycles;
+                (void)c;
+            };
+        };
+        const SimPair pair{name, interleavedPairs(kSimReps,
+                                                  run(streaming),
+                                                  run(traced))};
         sims.push_back(pair);
         std::printf("%-6s streaming %8.3f ms   traced %8.3f ms   "
-                    "speedup %.2fx   batched %8.3f ms/cfg %.2fx\n",
-                    pair.name.c_str(), pair.streamingMs, pair.tracedMs,
-                    pair.speedup(), pair.batchedMs,
-                    pair.batchedSpeedup());
+                    "speedup %.2fx\n",
+                    pair.name.c_str(), pair.timing.streamingMs,
+                    pair.timing.tracedMs, pair.timing.speedup);
     }
 
     // One annealer round (the inner loop this work targets).
     constexpr uint64_t kRoundIters = 20;
     constexpr uint64_t kRoundInstrs = 10000;
+    constexpr int kRoundReps = 11;
     auto round = [&](bool traced) {
-        SimOptions opts;
-        opts.measureInstrs = kRoundInstrs;
-        if (traced)
-            opts.trace = sharedTrace(gcc, opts.streamId,
-                                     opts.traceOps());
-        AnnealParams params;
-        params.iterations = kRoundIters;
-        Annealer annealer(
-            space,
-            [&](const CoreConfig &c) {
-                return simulate(gcc, c, opts).ipt();
-            },
-            params);
-        volatile double s = annealer.run(space.initialConfig())
-                                .bestScore;
-        (void)s;
+        return [&, traced] {
+            SimOptions opts;
+            opts.measureInstrs = kRoundInstrs;
+            if (traced)
+                opts.trace = sharedTrace(gcc, opts.streamId,
+                                         opts.traceOps());
+            AnnealParams params;
+            params.iterations = kRoundIters;
+            Annealer annealer(
+                space,
+                [&](const CoreConfig &c) {
+                    return simulate(gcc, c, opts).ipt();
+                },
+                params);
+            volatile double s = annealer.run(space.initialConfig())
+                                    .bestScore;
+            (void)s;
+        };
     };
-    const double roundStreamingMs = minOfN(5, [&] { round(false); });
-    const double roundTracedMs = minOfN(5, [&] { round(true); });
+    const PairTiming roundTiming =
+        interleavedPairs(kRoundReps, round(false), round(true));
     std::printf("annealer round (%llu evals x %llu instrs, gcc): "
                 "streaming %.1f ms, traced %.1f ms, %.2fx\n",
                 static_cast<unsigned long long>(kRoundIters),
                 static_cast<unsigned long long>(kRoundInstrs),
-                roundStreamingMs, roundTracedMs,
-                roundStreamingMs / roundTracedMs);
-
-    // The same round with XPS_BATCH=8 semantics: frontiers of 8
-    // proposals scored through the batched simulator with
-    // successive-halving screening (sim/batch.hh). A fresh simulator
-    // per rep — every rep pays its own decode lookups, warmups and
-    // memo misses.
-    auto roundBatched = [&] {
-        const auto trace =
-            sharedTrace(gcc, 0, 2 * kRoundInstrs);
-        BatchOptions bopts;
-        bopts.measureInstrs = kRoundInstrs;
-        BatchSimulator sim(trace, bopts);
-        const std::vector<ScreenCut> cuts =
-            BatchSimulator::defaultCuts(kBatchWidth);
-        AnnealParams params;
-        params.iterations = kRoundIters;
-        Annealer annealer(
-            space,
-            [&](const CoreConfig &c) {
-                return sim.evaluate({c})[0].ipt();
-            },
-            params);
-        annealer.setFrontier(
-            [&](const std::vector<CoreConfig> &cands,
-                std::vector<double> &scores,
-                std::vector<uint8_t> &full) {
-                const ScreenOutcome o = sim.screen(cands, cuts);
-                full = o.full;
-                scores.assign(cands.size(), 0.0);
-                for (size_t i = 0; i < cands.size(); ++i)
-                    scores[i] = o.stats[i].ipt();
-            },
-            kBatchWidth);
-        volatile double s =
-            annealer.run(space.initialConfig()).bestScore;
-        (void)s;
-    };
-    const double roundBatchedMs = minOfN(5, roundBatched);
-    std::printf("annealer round batched (width %u): %.1f ms, "
-                "%.2fx over scalar traced round\n",
-                kBatchWidth, roundBatchedMs,
-                roundTracedMs / roundBatchedMs);
+                roundTiming.streamingMs, roundTiming.tracedMs,
+                roundTiming.speedup);
 
     // Worker-job latency: a small supervised batch after the timed
-    // sections (fork noise must not disturb the min-of-N numbers).
+    // sections (fork noise must not disturb the timed numbers).
     {
         ProcPoolOptions pool_opts;
         pool_opts.workers = 2;
@@ -285,9 +240,12 @@ main(int argc, char **argv)
                  "  \"schema\": 1,\n"
                  "  \"settings\": {\"measure_instrs\": %llu, "
                  "\"warmup_instrs\": %llu, \"config\": \"initial\", "
-                 "\"timing\": \"min of %d reps\"},\n",
+                 "\"timing\": \"streaming/traced: %d (annealer round: "
+                 "%d) interleaved pairs, ms = median, speedup = median "
+                 "of per-pair ratios; micro_op_stream: min of 5\"},\n",
                  static_cast<unsigned long long>(kMeasure),
-                 static_cast<unsigned long long>(kWarmup), kSimReps);
+                 static_cast<unsigned long long>(kWarmup), kSimReps,
+                 kRoundReps);
     std::fprintf(f,
                  "  \"micro_op_stream\": {\"generate_ns_per_op\": %.2f, "
                  "\"replay_ns_per_op\": %.2f, \"speedup\": %.2f},\n",
@@ -298,14 +256,9 @@ main(int argc, char **argv)
     for (size_t i = 0; i < sims.size(); ++i) {
         std::fprintf(f,
                      "    \"%s\": {\"streaming_ms\": %.3f, "
-                     "\"traced_ms\": %.3f, \"speedup\": %.2f, "
-                     "\"frontier_scalar_ms_per_config\": %.3f, "
-                     "\"batched_ms_per_config\": %.3f, "
-                     "\"batched_speedup\": %.2f}%s\n",
-                     sims[i].name.c_str(), sims[i].streamingMs,
-                     sims[i].tracedMs, sims[i].speedup(),
-                     sims[i].frontierScalarMs, sims[i].batchedMs,
-                     sims[i].batchedSpeedup(),
+                     "\"traced_ms\": %.3f, \"speedup\": %.2f}%s\n",
+                     sims[i].name.c_str(), sims[i].timing.streamingMs,
+                     sims[i].timing.tracedMs, sims[i].timing.speedup,
                      i + 1 < sims.size() ? "," : "");
     }
     std::fprintf(f, "  },\n");
@@ -316,17 +269,8 @@ main(int argc, char **argv)
                  "\"speedup\": %.2f},\n",
                  static_cast<unsigned long long>(kRoundIters),
                  static_cast<unsigned long long>(kRoundInstrs),
-                 roundStreamingMs, roundTracedMs,
-                 roundStreamingMs / roundTracedMs);
-    std::fprintf(f,
-                 "  \"annealer_round_batched\": {\"batch_width\": %u, "
-                 "\"iters\": %llu, \"instrs_per_eval\": %llu, "
-                 "\"workload\": \"gcc\", \"traced_ms\": %.3f, "
-                 "\"speedup_vs_scalar_round\": %.2f},\n",
-                 kBatchWidth,
-                 static_cast<unsigned long long>(kRoundIters),
-                 static_cast<unsigned long long>(kRoundInstrs),
-                 roundBatchedMs, roundTracedMs / roundBatchedMs);
+                 roundTiming.streamingMs, roundTiming.tracedMs,
+                 roundTiming.speedup);
     // The streaming path above already contains this PR's scheduler
     // and core-loop optimizations, so "speedup" understates the full
     // before/after. These are the same measurements taken at the

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "explore/annealer.hh"
-#include "sim/batch.hh"
 #include "sim/cache.hh"
 #include "sim/simulator.hh"
 #include "util/rng.hh"
@@ -318,36 +317,6 @@ BM_WakeupSelectSoA(benchmark::State &state)
                             static_cast<int64_t>(kWsCycles));
 }
 BENCHMARK(BM_WakeupSelectSoA);
-
-void
-BM_BatchedEvaluate(benchmark::State &state)
-{
-    // Per-eval cost of a full-fidelity 8-wide batch (shared decode +
-    // shared warmup, no screening) vs the scalar traced path of
-    // BM_SimulateWorkloadTraced.
-    const WorkloadProfile &profile = profileByName("gcc");
-    constexpr uint64_t kInstrs = 20000;
-    const auto trace = sharedTrace(profile, 0, 2 * kInstrs);
-    UnitTiming timing;
-    SearchSpace space(timing);
-    std::vector<CoreConfig> configs{CoreConfig::initial()};
-    Rng rng(17);
-    while (configs.size() < 8) {
-        CoreConfig cand;
-        if (space.neighbor(configs.back(), rng, cand))
-            configs.push_back(cand);
-    }
-    for (auto _ : state) {
-        BatchOptions opts;
-        opts.measureInstrs = kInstrs;
-        BatchSimulator sim(trace, opts);
-        const std::vector<SimStats> stats = sim.evaluate(configs);
-        benchmark::DoNotOptimize(stats[0].cycles);
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) * 8);
-}
-BENCHMARK(BM_BatchedEvaluate)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

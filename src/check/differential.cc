@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "check/invariant_checker.hh"
-#include "sim/batch.hh"
 #include "sim/ooo_core.hh"
 #include "util/logging.hh"
 #include "workload/trace.hh"
@@ -26,39 +25,10 @@ compareCount(std::ostringstream &out, const char *what, uint64_t ooo,
             << "; ";
 }
 
-/** Batched-vs-scalar bit-identity over every SimStats field. */
-void
-compareBatchedStats(std::ostringstream &out, const SimStats &batched,
-                    const SimStats &scalar)
-{
-    compareCount(out, "batched instructions", batched.instructions,
-                 scalar.instructions);
-    compareCount(out, "batched cycles", batched.cycles,
-                 scalar.cycles);
-    compareCount(out, "batched condBranches", batched.condBranches,
-                 scalar.condBranches);
-    compareCount(out, "batched mispredicts", batched.mispredicts,
-                 scalar.mispredicts);
-    compareCount(out, "batched loads", batched.loads, scalar.loads);
-    compareCount(out, "batched stores", batched.stores,
-                 scalar.stores);
-    compareCount(out, "batched l1Hits", batched.l1Hits,
-                 scalar.l1Hits);
-    compareCount(out, "batched l1Misses", batched.l1Misses,
-                 scalar.l1Misses);
-    compareCount(out, "batched l2Hits", batched.l2Hits,
-                 scalar.l2Hits);
-    compareCount(out, "batched l2Misses", batched.l2Misses,
-                 scalar.l2Misses);
-    compareCount(out, "batched robOccupancySum",
-                 batched.robOccupancySum, scalar.robOccupancySum);
-    if (batched.clockNs != scalar.clockNs)
-        out << "batched clockNs: " << batched.clockNs
-            << " != " << scalar.clockNs << "; ";
-}
+} // namespace
 
 DiffResult
-runDifferentialCaseImpl(const PropCase &c, bool batched)
+runDifferentialCase(const PropCase &c)
 {
     // A private buffer, not sharedTrace(): fuzz cases are one-shot
     // and must not pin thousands of traces in the global registry.
@@ -83,14 +53,6 @@ runDifferentialCaseImpl(const PropCase &c, bool batched)
     r.invariantViolations = checker.violations();
 
     std::ostringstream fail;
-    if (batched) {
-        BatchOptions bopts;
-        bopts.measureInstrs = c.measureInstrs;
-        bopts.warmupInstrs = c.warmupInstrs;
-        BatchSimulator sim(buffer, bopts);
-        const std::vector<SimStats> stats = sim.evaluate({c.config});
-        compareBatchedStats(fail, stats[0], r.ooo);
-    }
     if (!checker.ok())
         fail << checker.violations().size()
              << " invariant violation(s): " << checker.summary()
@@ -113,23 +75,9 @@ runDifferentialCaseImpl(const PropCase &c, bool batched)
     return r;
 }
 
-} // namespace
-
-DiffResult
-runDifferentialCase(const PropCase &c)
-{
-    return runDifferentialCaseImpl(c, /*batched=*/false);
-}
-
-DiffResult
-runDifferentialCaseBatched(const PropCase &c)
-{
-    return runDifferentialCaseImpl(c, /*batched=*/true);
-}
-
 FuzzReport
 fuzzDifferential(uint64_t iters, uint64_t seed,
-                 const std::string &corpus_dir, bool batched)
+                 const std::string &corpus_dir)
 {
     // Shrinking re-evaluates the property hundreds of times; a few
     // shrunk reproductions of the same campaign are plenty.
@@ -137,18 +85,18 @@ fuzzDifferential(uint64_t iters, uint64_t seed,
 
     PropGen gen(seed);
     FuzzReport rep;
-    const PropProperty passes = [batched](const PropCase &pc) {
-        return runDifferentialCaseImpl(pc, batched).passed;
+    const PropProperty passes = [](const PropCase &pc) {
+        return runDifferentialCase(pc).passed;
     };
     for (uint64_t i = 0; i < iters; ++i) {
         const PropCase c = gen.next();
         ++rep.iterations;
-        const DiffResult r = runDifferentialCaseImpl(c, batched);
+        const DiffResult r = runDifferentialCase(c);
         if (r.passed)
             continue;
 
         const PropCase minimal = shrinkCase(c, passes, gen.timing());
-        const DiffResult mr = runDifferentialCaseImpl(minimal, batched);
+        const DiffResult mr = runDifferentialCase(minimal);
         const std::string &msg =
             mr.failure.empty() ? r.failure : mr.failure;
         ++rep.failures;

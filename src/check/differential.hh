@@ -46,16 +46,6 @@ struct DiffResult
 /** Run one case through core + checker + oracle and compare. */
 DiffResult runDifferentialCase(const PropCase &c);
 
-/**
- * As runDifferentialCase, additionally routing the case through
- * BatchSimulator full-fidelity evaluation (sim/batch.hh) on the same
- * trace buffer and requiring the batched SimStats to equal the scalar
- * run's bit-for-bit on every field. This is the referee for the
- * batched path's central claim: batching changes the schedule of the
- * simulation, never its result (DESIGN.md §11).
- */
-DiffResult runDifferentialCaseBatched(const PropCase &c);
-
 /** Outcome of one fuzzing campaign. */
 struct FuzzReport
 {
@@ -74,13 +64,10 @@ struct FuzzReport
  * non-empty the shrunk case is serialized there as a replayable
  * `.case` file. Stops early after a handful of failures (shrinking
  * is the expensive part; one campaign does not need dozens of
- * duplicates of the same bug). With `batched` set, each case also
- * runs through runDifferentialCaseBatched (scalar-vs-batched
- * bit-identity joins the checked properties).
+ * duplicates of the same bug).
  */
 FuzzReport fuzzDifferential(uint64_t iters, uint64_t seed,
-                            const std::string &corpus_dir = "",
-                            bool batched = false);
+                            const std::string &corpus_dir = "");
 
 /** Parse every `*.case` file under `dir` (sorted by name; empty when
  *  the directory does not exist). */

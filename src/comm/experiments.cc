@@ -76,9 +76,8 @@ table4Manifest(const std::vector<WorkloadProfile> &suite)
     // Exactly the knobs that shape the exploration result. The
     // checkpoint cadence is deliberately absent: resume is
     // bit-identical, so XPS_CHECKPOINT_EVERY never stales a cache.
-    // The frontier width and the workload reduction appear only when
-    // set, so the default manifest (and every cache written under it)
-    // stays valid.
+    // The workload reduction appears only when set, so the default
+    // manifest (and every cache written under it) stays valid.
     const Budget &budget = Budget::get();
     CsvManifest m;
     m.set("kind", std::string("table4-configs"));
@@ -86,8 +85,6 @@ table4Manifest(const std::vector<WorkloadProfile> &suite)
     m.set("eval_instrs", budget.evalInstrs);
     m.set("sa_iters", budget.saIters);
     m.set("final_instrs", budget.finalInstrs);
-    if (budget.batchWidth != 1)
-        m.set("batch_width", static_cast<uint64_t>(budget.batchWidth));
     if (budget.reduceWorkloads != 0)
         m.set("reduce_workloads", budget.reduceWorkloads);
     m.set("profiles", profilesKey(suite));
@@ -194,7 +191,6 @@ computeContext()
         opts.threads = budget.threads;
         opts.finalEvalInstrs = budget.finalInstrs;
         opts.checkpointEvery = budget.checkpointEvery;
-        opts.batchWidth = budget.batchWidth;
         opts.reduceWorkloads = budget.reduceWorkloads;
         if (budget.supervise) {
             opts.supervised = true;

@@ -1,6 +1,5 @@
 #include "explore/annealer.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -116,9 +115,7 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
     };
 
     // Metropolis acceptance + incumbent tracking + the paper's
-    // rollback rule, for a candidate whose score is trusted. Shared
-    // by the scalar and frontier paths so the decision logic cannot
-    // drift between them.
+    // rollback rule for one scored candidate.
     auto metropolis = [&](uint64_t iter, const CoreConfig &cand,
                           double cand_score) {
         ++result.evaluations;
@@ -181,84 +178,6 @@ Annealer::resume(AnnealerState &state, uint64_t checkpointEvery,
             });
         }
     };
-
-    if (frontier_) {
-        // Frontier (batched) walk: rounds of up to `frontierWidth_`
-        // neighbours of the round-start point, scored in one
-        // FrontierObjective call, then judged in draw order.
-        Counter &ctr_screened = metrics.counter("anneal.screened");
-        uint64_t iter = state.iteration;
-        while (iter < params_.iterations) {
-            const uint64_t round = std::min<uint64_t>(
-                frontierWidth_, params_.iterations - iter);
-            const uint64_t round_begin = obs::detail::nowNs();
-
-            // Draw the whole frontier first (RNG order: all draws,
-            // then all acceptance rolls — at width 1 that is exactly
-            // the scalar order, since each round has one of each).
-            std::vector<CoreConfig> cands(round);
-            std::vector<uint8_t> have(round, 0);
-            std::vector<CoreConfig> to_eval;
-            std::vector<size_t> eval_pos;
-            for (uint64_t k = 0; k < round; ++k) {
-                bool h = false;
-                for (int attempt = 0; attempt < 16 && !h; ++attempt)
-                    h = space_.neighbor(current, rng, cands[k]);
-                have[k] = h;
-                if (h) {
-                    eval_pos.push_back(k);
-                    to_eval.push_back(cands[k]);
-                }
-            }
-            std::vector<double> scores;
-            std::vector<uint8_t> full;
-            if (!to_eval.empty())
-                frontier_(to_eval, scores, full);
-            std::vector<double> score_of(round, 0.0);
-            std::vector<uint8_t> full_of(round, 0);
-            for (size_t j = 0; j < eval_pos.size(); ++j) {
-                score_of[eval_pos[j]] = scores[j];
-                full_of[eval_pos[j]] = full[j];
-            }
-
-            for (uint64_t k = 0; k < round; ++k) {
-                ++iter;
-                temp *= cooling;
-                if (!have[k])
-                    continue; // stuck corner; cool and retry
-                if (full_of[k] == kScreenPartial) {
-                    // Screened out at a cut: an auto-rejected
-                    // proposal (no acceptance randomness consumed —
-                    // its partial score is not comparable).
-                    ctr_rejects.add();
-                    ctr_screened.add();
-                    obs::instant("anneal.screened", "anneal", [&] {
-                        return obs::Args()
-                            .add("workload", label)
-                            .add("step", iter)
-                            .add("temp", temp);
-                    });
-                    continue;
-                }
-                metropolis(iter, cands[k], score_of[k]);
-            }
-
-            const uint64_t per =
-                (obs::detail::nowNs() - round_begin) / round;
-            for (uint64_t k = 0; k < round; ++k)
-                step_histogram.record(per);
-            if (checkpointEvery > 0 && hook &&
-                (iter / checkpointEvery >
-                     (iter - round) / checkpointEvery ||
-                 iter == params_.iterations)) {
-                sync(iter);
-                hook(state);
-                exitIfStopRequested(label, iter);
-            }
-        }
-        sync(params_.iterations);
-        return;
-    }
 
     for (uint64_t iter = state.iteration + 1;
          iter <= params_.iterations; ++iter) {

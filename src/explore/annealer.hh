@@ -55,13 +55,6 @@ struct AnnealResult
     std::vector<std::pair<uint64_t, double>> improvementTrace;
 };
 
-/** FrontierObjective `full` classes (see Annealer::FrontierObjective). */
-/** Screened out at a partial-fidelity cut: the score is untrusted and
- *  the walk auto-rejects without consuming acceptance randomness. */
-constexpr uint8_t kScreenPartial = 0;
-/** Scored at full fidelity: trusted, judged by Metropolis. */
-constexpr uint8_t kScreenFull = 1;
-
 /**
  * The complete walk state after `iteration` completed steps.
  * Restoring it (same space, objective and params) and resuming
@@ -85,44 +78,12 @@ class Annealer
 {
   public:
     using Objective = std::function<double(const CoreConfig &)>;
-    /**
-     * Batched objective (DESIGN.md §11): scores a frontier of
-     * candidate configurations in one call. On return `scores` and
-     * `full` are parallel to the input and each `full` entry is one
-     * of the kScreen* classes: kScreenFull (trusted score, judged by
-     * Metropolis) or kScreenPartial (cut-screened; auto-reject, no
-     * acceptance randomness consumed). The Explorer plugs in
-     * BatchSimulator::screen.
-     */
-    using FrontierObjective = std::function<void(
-        const std::vector<CoreConfig> &, std::vector<double> &,
-        std::vector<uint8_t> &)>;
     /** Invoked with a consistent snapshot every `checkpointEvery`
      *  iterations during resume(). */
     using CheckpointHook = std::function<void(const AnnealerState &)>;
 
     Annealer(const SearchSpace &space, Objective objective,
              AnnealParams params);
-
-    /**
-     * Switch resume() to frontier mode: each round draws up to
-     * `width` neighbours of the round-start current point, scores
-     * them in one FrontierObjective call, then applies the standard
-     * per-candidate Metropolis / improvement / rollback steps in draw
-     * order (a multiple-try flavour of the same walk). Screened-out
-     * candidates are auto-rejected proposals; they still consume
-     * iterations, so the schedule length is unchanged. At width 1
-     * with no screening the trajectory is bit-identical to the
-     * scalar walk — same RNG consumption order, same decisions.
-     * Checkpoints fire only at round boundaries, which keeps resumed
-     * runs on the original round grid.
-     */
-    void
-    setFrontier(FrontierObjective frontier, uint32_t width)
-    {
-        frontier_ = std::move(frontier);
-        frontierWidth_ = width < 1 ? 1 : width;
-    }
 
     /** Run from a starting configuration (begin + resume). */
     AnnealResult run(const CoreConfig &start) const;
@@ -150,8 +111,6 @@ class Annealer
   private:
     const SearchSpace &space_;
     Objective objective_;
-    FrontierObjective frontier_;
-    uint32_t frontierWidth_ = 1;
     AnnealParams params_;
 };
 

@@ -13,7 +13,6 @@
 
 #include "obs/log.hh"
 #include "obs/tracer.hh"
-#include "sim/batch.hh"
 #include "sim/cells.hh"
 #include "util/atomic_file.hh"
 #include "util/env.hh"
@@ -132,11 +131,9 @@ Explorer::checkpointIdentity() const
     m.set("rounds", static_cast<uint64_t>(opts_.rounds));
     m.set("seed", opts_.seed);
     m.set("final_eval_instrs", opts_.finalEvalInstrs);
-    // The frontier width changes the walk's trajectory (multiple-try
-    // proposals), so scalar and batched runs must not resume each
-    // other's checkpoints. Likewise the workload-reduction mapping
-    // (it changes which workloads anneal at all).
-    m.set("xps_batch", static_cast<uint64_t>(opts_.batchWidth));
+    // The workload-reduction mapping changes which workloads anneal
+    // at all, so reduced and full runs must not resume each other's
+    // checkpoints.
     m.set("xps_reduce_workloads", opts_.reduceWorkloads);
     m.set("adoption_margin", formatHexDouble(opts_.adoptionMargin));
     m.set("gross_adoption_margin",
@@ -215,58 +212,6 @@ Explorer::annealWorkloadRound(
                   w * 1315423911ULL + static_cast<uint64_t>(round);
     params.traceLabel = suite_[w].name;
     Annealer annealer(space_, objective, params);
-
-    // batchWidth > 1: score each round's proposals as a frontier
-    // through the batched simulator (shared decode + warmup,
-    // successive-halving screen — DESIGN.md §11). The walk this
-    // produces is a multiple-try variant of the scalar one, which is
-    // why the width is part of the checkpoint identity.
-    std::unique_ptr<BatchSimulator> batch;
-    if (opts_.batchWidth > 1 && trace) {
-        BatchOptions bopts;
-        bopts.measureInstrs = opts_.evalInstrs;
-        batch = std::make_unique<BatchSimulator>(trace, bopts);
-        const std::vector<ScreenCut> cuts =
-            BatchSimulator::defaultCuts(opts_.batchWidth);
-        annealer.setFrontier(
-            [&, cuts](const std::vector<CoreConfig> &cands,
-                      std::vector<double> &scores,
-                      std::vector<uint8_t> &full) {
-                ProcPool::beat();
-                scores.assign(cands.size(), 0.0);
-                full.assign(cands.size(), kScreenPartial);
-                // The memo (it persists across rounds and
-                // checkpoints) answers first; the rest go through
-                // the screened batch, and only full-length results
-                // are trusted.
-                std::vector<size_t> pos;
-                std::vector<CoreConfig> to_sim;
-                for (size_t i = 0; i < cands.size(); ++i) {
-                    const auto it = memo.find(archKey(cands[i]));
-                    if (it != memo.end()) {
-                        scores[i] = it->second;
-                        full[i] = kScreenFull;
-                        continue;
-                    }
-                    pos.push_back(i);
-                    to_sim.push_back(cands[i]);
-                }
-                if (to_sim.empty())
-                    return;
-                const ScreenOutcome outcome = batch->screen(to_sim,
-                                                            cuts);
-                for (size_t j = 0; j < pos.size(); ++j) {
-                    if (!outcome.full[j])
-                        continue;
-                    const double ipt = outcome.stats[j].ipt();
-                    scores[pos[j]] = ipt;
-                    full[pos[j]] = kScreenFull;
-                    ++evals;
-                    memo.emplace(archKey(cands[pos[j]]), ipt);
-                }
-            },
-            opts_.batchWidth);
-    }
 
     AnnealerState st;
     bool resumed = false;

@@ -61,11 +61,6 @@ struct ExplorerOptions
      *  only to gross violations so diversity is preserved). */
     double grossAdoptionMargin = 0.08;
 
-    /** Annealing frontier width (DESIGN.md §11): each round scores
-     *  this many proposals in one batched, screened pass. 1 is the
-     *  scalar walk. Set from XPS_BATCH in the cached experiment
-     *  pipeline. */
-    uint32_t batchWidth = 1;
     /** Anneal only this many cluster representatives of the suite
      *  (reduceWorkloads()); 0 anneals every workload. Set from
      *  XPS_REDUCE_WORKLOADS in the cached experiment pipeline. */

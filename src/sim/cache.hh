@@ -96,23 +96,6 @@ class MemoryHierarchy
 
     void reset();
 
-    /**
-     * Copy another hierarchy's cache contents (tags, LRU stamps,
-     * hit/miss counters, memory-access count) into this one. The
-     * donor must have identical geometry (sets/assoc/line at both
-     * levels); access latencies may differ — they are not state, and
-     * warm cache contents are latency-independent. This is how a
-     * batched run shares one functional warmup across every candidate
-     * configuration with the same cache geometry (DESIGN.md §11).
-     */
-    void
-    adoptState(const MemoryHierarchy &other)
-    {
-        l1_ = other.l1_;
-        l2_ = other.l2_;
-        memAccesses_ = other.memAccesses_;
-    }
-
     const Cache &l1() const { return l1_; }
     const Cache &l2() const { return l2_; }
     uint64_t memAccesses() const { return memAccesses_; }

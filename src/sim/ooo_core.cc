@@ -689,13 +689,10 @@ OooCore::run(SyntheticWorkload &workload, uint64_t measure,
 
 void
 OooCore::beginTraceRun(std::shared_ptr<const TraceBuffer> trace,
-                       std::shared_ptr<const DecodedTrace> decoded,
-                       uint64_t measure, uint64_t warmup,
-                       const MemoryHierarchy *warm_state)
+                       uint64_t measure, uint64_t warmup)
 {
     srcBuf_ = std::move(trace);
-    srcDecoded_ = decoded ? std::move(decoded)
-                          : decodedTrace(srcBuf_);
+    srcDecoded_ = decodedTrace(srcBuf_);
     src_ = DecodedSource{srcBuf_->ops().data(), srcDecoded_->meta(),
                          srcBuf_->size(), 0};
     if (src_.size < warmup) {
@@ -709,26 +706,18 @@ OooCore::beginTraceRun(std::shared_ptr<const TraceBuffer> trace,
     // into the decoded meta), so skip its reset.
     resetMachine(measure, /*reset_predictor=*/false);
 
-    if (warm_state) {
-        // Adopt the shared post-warmup cache state: bit-identical to
-        // streaming the warmup window below, which touches nothing
-        // but the hierarchy.
-        hierarchy_.adoptState(*warm_state);
-        src_.pos = warmup;
-    } else {
-        // Functional warmup (see the streaming overload): in replay
-        // only the hierarchy trains — predictions are precomputed.
-        for (uint64_t i = 0; i < warmup; ++i) {
-            const uint8_t m = src_.meta[src_.pos];
-            if (m & kMetaIsMem) {
-                const uint64_t addr = src_.ops[src_.pos].addr;
-                if (m & kMetaIsStore)
-                    hierarchy_.storeTouch(addr);
-                else
-                    hierarchy_.loadLatency(addr);
-            }
-            ++src_.pos;
+    // Functional warmup (see the streaming overload): in replay only
+    // the hierarchy trains — predictions are precomputed.
+    for (uint64_t i = 0; i < warmup; ++i) {
+        const uint8_t m = src_.meta[src_.pos];
+        if (m & kMetaIsMem) {
+            const uint64_t addr = src_.ops[src_.pos].addr;
+            if (m & kMetaIsStore)
+                hierarchy_.storeTouch(addr);
+            else
+                hierarchy_.loadLatency(addr);
         }
+        ++src_.pos;
     }
 }
 
@@ -747,7 +736,7 @@ SimStats
 OooCore::run(std::shared_ptr<const TraceBuffer> trace,
              uint64_t measure, uint64_t warmup)
 {
-    beginTraceRun(std::move(trace), nullptr, measure, warmup);
+    beginTraceRun(std::move(trace), measure, warmup);
     advance(measure);
     return finish();
 }

@@ -133,23 +133,15 @@ class OooCore
     SimStats run(TraceCursor &trace, uint64_t measure,
                  uint64_t warmup);
 
-    // --- resumable trace-replay API (the batched path) ---
+    // --- resumable trace replay: run(trace) is begin + advance + finish
 
     /**
-     * Reset and warm the machine for a trace-replay run. `decoded`
-     * may be null (looked up / built via decodedTrace()). When
-     * `warm_state` is non-null it must be a hierarchy of identical
-     * geometry holding the post-warmup cache state for this exact
-     * (trace, warmup) window; it is adopted by copy and the warmup
-     * pass is skipped — bit-identical, since functional warmup
-     * touches nothing but the hierarchy in trace mode (predictions
-     * are precomputed). Follow with advance() until it returns true,
-     * then finish().
+     * Reset and functionally warm the machine for a trace-replay run
+     * (the decoded sidecar is looked up / built via decodedTrace()).
+     * Follow with advance() until it returns true, then finish().
      */
     void beginTraceRun(std::shared_ptr<const TraceBuffer> trace,
-                       std::shared_ptr<const DecodedTrace> decoded,
-                       uint64_t measure, uint64_t warmup,
-                       const MemoryHierarchy *warm_state = nullptr);
+                       uint64_t measure, uint64_t warmup);
 
     /** Simulate until `commit_budget` more instructions commit (or
      *  the run completes). @return run complete? */
@@ -157,20 +149,6 @@ class OooCore
 
     /** Measurement-window statistics of the finished run. */
     SimStats finish() const { return collectStats(); }
-
-    /** Committed instructions of the measurement window so far (the
-     *  cut coordinate of a batched run: every lane of a batch is
-     *  advanced to the same committed count before being compared). */
-    uint64_t committedSoFar() const { return committed_; }
-
-    /** Cycles elapsed in the measurement window so far. At equal
-     *  committedSoFar() fewer cycles means higher partial IPC — the
-     *  ranking key of the batch screen (sim/batch.hh). */
-    uint64_t cyclesSoFar() const { return cycle_; }
-
-    /** Post-warmup hierarchy state (valid between beginTraceRun and
-     *  the first advance): the shareable warm state. */
-    const MemoryHierarchy &hierarchy() const { return hierarchy_; }
 
     const CoreConfig &config() const { return cfg_; }
 

@@ -1,6 +1,5 @@
 #include "util/env.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <mutex>
@@ -140,8 +139,6 @@ Budget::get()
         b.threads = resolveThreads();
         b.checkpointEvery = envUInt("XPS_CHECKPOINT_EVERY", 64);
         b.supervise = envUInt("XPS_SUPERVISE", 0) != 0;
-        b.batchWidth = static_cast<uint32_t>(std::clamp<uint64_t>(
-            envUInt("XPS_BATCH", 1), 1, UINT32_MAX));
         b.reduceWorkloads = envUInt("XPS_REDUCE_WORKLOADS", 0);
         return b;
     }();

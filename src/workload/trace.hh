@@ -138,7 +138,7 @@ void clearTraceRegistry();
  * of core configuration and of where the warmup/measure split falls —
  * so every prediction the core would make during replay can be made
  * once per trace and shared read-only by every configuration
- * evaluation (and every lane of a batched run). Immutable after
+ * evaluation. Immutable after
  * construction; concurrent readers need no synchronization.
  */
 class DecodedTrace

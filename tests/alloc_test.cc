@@ -117,20 +117,19 @@ TEST(Alloc, CycleLoopIsAllocationFreeAtSteadyState)
 {
     const WorkloadProfile &profile = profileByName("gcc");
     const auto trace = sharedTrace(profile, 0, 2 * kInstrs);
-    const auto decoded = decodedTrace(trace);
 
     OooCore core(CoreConfig::initial());
     // First replay grows every container to its steady-state
     // capacity (the reservations cover the config limits; a handful
     // of data-dependent spots — wheel buckets where distinct
     // latencies collide — top up here and persist across runs).
-    core.beginTraceRun(trace, decoded, kInstrs, kInstrs);
+    core.beginTraceRun(trace, kInstrs, kInstrs);
     runToCompletion(core);
     (void)core.finish();
 
     // Second replay of the same window: the cycle loop itself must
     // not allocate at all.
-    core.beginTraceRun(trace, decoded, kInstrs, kInstrs);
+    core.beginTraceRun(trace, kInstrs, kInstrs);
     const uint64_t before = g_news.load(std::memory_order_relaxed);
     runToCompletion(core);
     const uint64_t after = g_news.load(std::memory_order_relaxed);
@@ -151,7 +150,6 @@ TEST(Alloc, WiderCoreAlsoAllocationFree)
 {
     const WorkloadProfile &profile = profileByName("mcf");
     const auto trace = sharedTrace(profile, 0, 2 * kInstrs);
-    const auto decoded = decodedTrace(trace);
 
     CoreConfig cfg = CoreConfig::initial();
     cfg.name = "wide";
@@ -162,11 +160,11 @@ TEST(Alloc, WiderCoreAlsoAllocationFree)
     cfg.schedDepth = 2;
 
     OooCore core(cfg);
-    core.beginTraceRun(trace, decoded, kInstrs, kInstrs);
+    core.beginTraceRun(trace, kInstrs, kInstrs);
     runToCompletion(core);
     (void)core.finish();
 
-    core.beginTraceRun(trace, decoded, kInstrs, kInstrs);
+    core.beginTraceRun(trace, kInstrs, kInstrs);
     const uint64_t before = g_news.load(std::memory_order_relaxed);
     runToCompletion(core);
     const uint64_t after = g_news.load(std::memory_order_relaxed);

@@ -544,6 +544,54 @@ TEST(ExplorerCheckpoint, StaleCheckpointFromOtherBudgetIsIgnored)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ExplorerCheckpoint, CheckpointFromWiderFrontierIsNotResumed)
+{
+    // Explorers once had a multiple-try walk whose frontier width
+    // joined the identity as `xps_batch`, ahead of
+    // `xps_reduce_workloads`. A checkpoint such a walk left behind
+    // with width 8 must not be resumed: the run starts fresh and
+    // still matches its own golden result.
+    const std::string dir = freshDir("wide_frontier");
+    EXPECT_EXIT(exploreAndKill(dir, 5, 1), testing::ExitedWithCode(42),
+                "");
+    const CsvManifest identity =
+        Explorer(miniSuite(), miniOpts(5)).checkpointIdentity();
+    CsvManifest wide;
+    for (const auto &[key, value] : identity.entries) {
+        if (key == "xps_reduce_workloads")
+            wide.set("xps_batch", uint64_t{8});
+        wide.set(key, value);
+    }
+    ASSERT_NE(wide.find("xps_batch"), nullptr);
+
+    int rewritten = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::string content;
+        WorkloadCheckpoint wc;
+        ASSERT_TRUE(readFile(entry.path().string(), content));
+        ASSERT_TRUE(parseWorkloadCheckpoint(content, identity, wc))
+            << entry.path();
+        const std::string stale = serializeWorkloadCheckpoint(wc, wide);
+        EXPECT_FALSE(parseWorkloadCheckpoint(stale, identity, wc));
+        atomicWriteFile(entry.path().string(), stale);
+        ++rewritten;
+    }
+    ASSERT_EQ(rewritten, 1);
+
+    const auto golden = Explorer(miniSuite(), miniOpts(5)).exploreAll();
+    ExplorerOptions opts = miniOpts(5);
+    opts.checkpointEvery = 4;
+    opts.checkpointDir = dir;
+    Counter &resumes =
+        Metrics::global().counter("checkpoint.workload_resumes");
+    const uint64_t resumes_before = resumes.get();
+    const auto fresh = Explorer(miniSuite(), opts).exploreAll();
+    EXPECT_EQ(resumes.get() - resumes_before, 0u);
+    expectResultsIdentical(fresh, golden);
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ExplorerCheckpoint, CorruptCheckpointFilesAreRecomputedNotCrashed)
 {
     const std::string dir = freshDir("corrupt");

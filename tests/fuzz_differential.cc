@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "check/differential.hh"
 #include "check/invariant_checker.hh"
 #include "check/propgen.hh"
@@ -71,42 +69,6 @@ TEST(PropTier, RandomSweepFindsNoFailures)
         << " fields from baseline): " << rep.firstFailureMessage
         << "\n" << rep.firstFailure.serialize()
         << "corpus repros written: " << rep.corpusFiles.size();
-}
-
-// Batched differential mode (DESIGN.md §11): a slice of the random
-// sweep re-runs through BatchSimulator full-fidelity evaluation;
-// batched-vs-scalar SimStats bit-identity joins the invariant and
-// oracle properties for every generated case.
-TEST(PropTier, BatchedSweepFindsNoFailures)
-{
-    // A quarter of the scalar budget: each batched case simulates the
-    // core side twice (scalar referee + batched lane).
-    const uint64_t iters = std::max<uint64_t>(
-        static_cast<uint64_t>(envInt("XPS_FUZZ_ITERS", 500)) / 4, 25);
-    const uint64_t seed =
-        static_cast<uint64_t>(envInt("XPS_FUZZ_SEED", 20080301)) ^
-        0xba7cULL;
-    const FuzzReport rep = fuzzDifferential(
-        iters, seed, XPS_PROP_CORPUS_DIR, /*batched=*/true);
-    EXPECT_EQ(rep.iterations, iters);
-    EXPECT_EQ(rep.failures, 0u)
-        << rep.failures << " failing batched case(s); first: "
-        << rep.firstFailureMessage << "\n"
-        << rep.firstFailure.serialize();
-}
-
-// The batched comparator referees the golden workloads directly.
-TEST(PropTier, BatchedMatchesScalarOnAllCalibratedBenchmarks)
-{
-    PropCase c;
-    c.config = CoreConfig::initial();
-    c.measureInstrs = 5000;
-    c.warmupInstrs = 5000;
-    for (const WorkloadProfile &prof : spec2000int()) {
-        c.profile = prof;
-        const DiffResult r = runDifferentialCaseBatched(c);
-        EXPECT_TRUE(r.passed) << prof.name << ": " << r.failure;
-    }
 }
 
 TEST(PropTier, OracleMatchesAllCalibratedBenchmarks)

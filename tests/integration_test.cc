@@ -238,31 +238,44 @@ dumpedCounter(const std::string &path, const char *name)
 TEST(Integration, DefaultRunRejectsTable4CachedUnderBatchWidth)
 {
     // The bench pipeline caches Table 4 under the knobs that shape
-    // it. XPS_BATCH changes the walk, so a default run must recompute
-    // a Table 4 cached under XPS_BATCH=8 instead of serving it.
+    // it. Pipelines that annealed with a multiple-try frontier wrote
+    // its width into the manifest as `batch_width`, after
+    // `final_instrs`; a default run must recompute such a cache
+    // instead of serving it.
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("xps_integ_t4_" + std::to_string(::getpid())))
             .string();
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    auto run = [&](const std::string &knobs, const std::string &tag) {
+    auto run = [&](const std::string &tag) {
         const std::string cmd =
             "env -i XPS_RESULTS_DIR=" + dir +
             " XPS_EVAL_INSTRS=2000 XPS_SA_ITERS=12"
             " XPS_FINAL_INSTRS=4000 XPS_THREADS=2"
             " XPS_CHECKPOINT_EVERY=0 XPS_METRICS_JSON=" + dir + "/" +
-            tag + ".json " + knobs + " " XPS_TABLE4_BIN " > " + dir +
-            "/" + tag + ".log 2>&1";
+            tag + ".json " XPS_TABLE4_BIN " > " + dir + "/" + tag +
+            ".log 2>&1";
         EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
         return dir + "/" + tag + ".json";
     };
-    EXPECT_EQ(dumpedCounter(run("XPS_BATCH=8", "batched"),
-                            "cache.table4_misses"),
+    EXPECT_EQ(dumpedCounter(run("default"), "cache.table4_misses"), 1);
+
+    // Turn the fresh cache into one written under batch_width=8.
+    const std::string cache = dir + "/table4_configs.csv";
+    std::string text;
+    ASSERT_TRUE(readFile(cache, text));
+    const std::string after = "# final_instrs=4000\n";
+    const size_t at = text.find(after);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.insert(at + after.size(), "# batch_width=8\n");
+    atomicWriteFile(cache, text);
+
+    const std::string stale = run("stale");
+    EXPECT_EQ(dumpedCounter(stale, "cache.table4_misses"), 1);
+    EXPECT_EQ(dumpedCounter(stale, "cache.reject_reason.knob_mismatch"),
               1);
-    EXPECT_EQ(dumpedCounter(run("", "default"), "cache.table4_misses"),
-              1);
-    // The default run's own cache is then served as usual.
-    EXPECT_EQ(dumpedCounter(run("", "again"), "cache.table4_hits"), 1);
+    // The recomputed cache is then served as usual.
+    EXPECT_EQ(dumpedCounter(run("again"), "cache.table4_hits"), 1);
     std::filesystem::remove_all(dir);
 }

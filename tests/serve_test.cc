@@ -620,8 +620,8 @@ TEST(ServeEnv, ZeroJobRetriesBootsAndRunsEachJobOnce)
 TEST(ServeEnv, ExplorerSpeedKnobsDoNotReachExploreJobs)
 {
     // The store keys explore results by the request alone, so the
-    // daemon's own XPS_BATCH / XPS_REDUCE_WORKLOADS must not change
-    // what an explore job computes.
+    // daemon's own XPS_REDUCE_WORKLOADS must not change what an
+    // explore job computes.
     const char *req =
         "{\"op\":\"explore\",\"id\":\"e\","
         "\"workloads\":[\"gzip\",\"mcf\"],\"instrs\":4000,"
@@ -641,7 +641,6 @@ TEST(ServeEnv, ExplorerSpeedKnobsDoNotReachExploreJobs)
         };
     const std::string plain = exploreUnder({});
     ASSERT_FALSE(plain.empty());
-    EXPECT_EQ(exploreUnder({{"XPS_BATCH", "8"}}), plain);
     EXPECT_EQ(exploreUnder({{"XPS_REDUCE_WORKLOADS", "1"}}), plain);
 }
 
