@@ -1,24 +1,35 @@
 /**
  * @file
- * Machine-readable before/after evidence for the trace-cache +
- * ready-list-scheduler work: times the streaming and traced
- * evaluation paths, the generator-vs-replay op cost, and a full
- * annealer round, then writes BENCH_results.json (argv[1], default
- * ./BENCH_results.json). `make bench-json` runs it from the build
- * tree. Streaming and traced are timed as interleaved pairs and each
- * speedup is the median of the per-pair ratios, so host drift hits
- * both sides of a ratio alike; the op-stream costs are min-of-N. See
- * README.md "Benchmarking".
+ * Machine-readable evidence for the simulator's inner loop, plus a
+ * machine-independent work gate. Writes BENCH_results.json (argv[1],
+ * default ./BENCH_results.json); `make bench-json` runs it from the
+ * build tree. Sections:
+ *  - work_counters: how much work a fixed reduced-budget Explorer
+ *    pass plus PerfMatrix::build does (evaluations, simulations, cell
+ *    memo and trace cache traffic, checkpoint writes). The counts
+ *    depend only on the code, not on the host or the thread count, so
+ *    CI requires them to equal the checked-in file exactly;
+ *  - micro_op_stream: generator vs trace replay cost per op (min of
+ *    5);
+ *  - annealer_round: one annealing round on gcc's trace (median ms);
+ *  - latency histograms and all runtime metrics.
+ * See README.md "Benchmarking".
  */
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "comm/perf_matrix.hh"
 #include "explore/annealer.hh"
+#include "explore/explorer.hh"
 #include "explore/search_space.hh"
 #include "sim/simulator.hh"
 #include "timing/unit_timing.hh"
@@ -62,47 +73,80 @@ median(std::vector<double> v)
     return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/** Streaming-vs-traced timing of one body pair. */
-struct PairTiming
-{
-    double streamingMs; ///< median over the pairs
-    double tracedMs;    ///< median over the pairs
-    double speedup;     ///< median of the per-pair ratios
+/** The gated counters: registry counter name -> reported name. */
+const std::vector<std::pair<std::string, std::string>> kWorkCounters = {
+    {"anneal.evaluations", "anneal.evaluations"},
+    {"cells.hits", "cells.hits"},
+    {"cells.misses", "cells.misses"},
+    {"checkpoint.writes", "explore.checkpoint_writes"},
+    {"trace_cache.grows", "trace_cache.grows"},
+    {"trace_cache.misses", "trace_cache.misses"},
 };
 
-/**
- * Time `streaming` and `traced` as `reps` back-to-back pairs, after
- * one untimed run of each (trace decode, cold caches). The order
- * within a pair alternates so neither side always runs second.
- */
-PairTiming
-interleavedPairs(int reps, const std::function<void()> &streaming,
-                 const std::function<void()> &traced)
+/** Every counter, plus the sim.run sample count as "sim.runs". */
+std::map<std::string, uint64_t>
+workSnapshot()
 {
-    streaming();
-    traced();
-    std::vector<double> s, t, ratio;
-    for (int r = 0; r < reps; ++r) {
-        double sm, tm;
-        if (r % 2 == 0) {
-            sm = timeMs(streaming);
-            tm = timeMs(traced);
-        } else {
-            tm = timeMs(traced);
-            sm = timeMs(streaming);
-        }
-        s.push_back(sm);
-        t.push_back(tm);
-        ratio.push_back(sm / tm);
+    const Metrics::Snapshot snap = Metrics::global().snapshot();
+    std::map<std::string, uint64_t> out(snap.counters.begin(),
+                                        snap.counters.end());
+    for (const auto &[name, h] : snap.histograms) {
+        if (name == "sim.run")
+            out["sim.runs"] = h.count;
     }
-    return {median(s), median(t), median(ratio)};
+    return out;
 }
 
-struct SimPair
+/**
+ * The fixed work unit: explore three workloads at a tiny budget over
+ * two rounds, checkpointing into a scratch directory, then build the
+ * 3x3 matrix of their cores at the final length. Returns the work it
+ * did, in sorted name order.
+ */
+std::map<std::string, uint64_t>
+countWork()
 {
-    std::string name;
-    PairTiming timing;
-};
+    const auto before = workSnapshot();
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("xps_bench_work_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+
+    const std::vector<WorkloadProfile> suite = {
+        profileByName("gzip"), profileByName("mcf"),
+        profileByName("twolf")};
+    ExplorerOptions opts;
+    opts.evalInstrs = 2000;
+    opts.saIters = 16;
+    opts.rounds = 2;
+    opts.finalEvalInstrs = 4000;
+    opts.checkpointEvery = 4;
+    opts.checkpointDir = dir;
+    Explorer explorer(suite, opts);
+    const std::vector<WorkloadResult> results = explorer.exploreAll();
+    std::vector<CoreConfig> configs;
+    uint64_t evaluations = 0;
+    for (const WorkloadResult &r : results) {
+        configs.push_back(r.best);
+        evaluations += r.evaluations;
+    }
+    PerfMatrix::build(suite, configs, opts.finalEvalInstrs);
+    std::filesystem::remove_all(dir);
+
+    const auto after = workSnapshot();
+    auto delta = [&](const std::string &name) {
+        const auto a = after.find(name), b = before.find(name);
+        return (a == after.end() ? 0 : a->second) -
+               (b == before.end() ? 0 : b->second);
+    };
+    std::map<std::string, uint64_t> out;
+    out["explore.evaluations"] = evaluations;
+    out["sim.runs"] = delta("sim.runs");
+    for (const auto &[counter, reported] : kWorkCounters)
+        out[reported] = delta(counter);
+    return out;
+}
 
 } // namespace
 
@@ -111,10 +155,12 @@ main(int argc, char **argv)
 {
     const std::string out =
         argc > 1 ? argv[1] : std::string("BENCH_results.json");
-    constexpr uint64_t kMeasure = 20000;
-    constexpr uint64_t kWarmup = 20000;
-    constexpr int kSimReps = 21;
-    const CoreConfig cfg = CoreConfig::initial();
+
+    // First, while the trace registry and the cell memo are empty.
+    const std::map<std::string, uint64_t> work = countWork();
+    for (const auto &[name, count] : work)
+        std::printf("work %-26s %llu\n", name.c_str(),
+                    static_cast<unsigned long long>(count));
 
     // Generator vs replay op cost.
     constexpr uint64_t kOps = 1 << 20;
@@ -143,47 +189,17 @@ main(int argc, char **argv)
         (void)keep;
     }
 
+    // One annealer round (the inner loop of the exploration).
     UnitTiming timing;
     SearchSpace space(timing);
-
-    // End-to-end simulate(): streaming vs traced.
-    std::vector<SimPair> sims;
-    for (const char *name : {"gcc", "gzip", "mcf", "twolf"}) {
-        const WorkloadProfile &profile = profileByName(name);
-        SimOptions streaming;
-        streaming.measureInstrs = kMeasure;
-        streaming.warmupInstrs = kWarmup;
-        SimOptions traced = streaming;
-        traced.trace = sharedTrace(profile, traced.streamId,
-                                   traced.traceOps());
-        auto run = [&](const SimOptions &opts) {
-            return [&, opts] {
-                volatile uint64_t c =
-                    simulate(profile, cfg, opts).cycles;
-                (void)c;
-            };
-        };
-        const SimPair pair{name, interleavedPairs(kSimReps,
-                                                  run(streaming),
-                                                  run(traced))};
-        sims.push_back(pair);
-        std::printf("%-6s streaming %8.3f ms   traced %8.3f ms   "
-                    "speedup %.2fx\n",
-                    pair.name.c_str(), pair.timing.streamingMs,
-                    pair.timing.tracedMs, pair.timing.speedup);
-    }
-
-    // One annealer round (the inner loop this work targets).
     constexpr uint64_t kRoundIters = 20;
     constexpr uint64_t kRoundInstrs = 10000;
     constexpr int kRoundReps = 11;
-    auto round = [&](bool traced) {
-        return [&, traced] {
+    std::vector<double> roundMs;
+    for (int r = 0; r <= kRoundReps; ++r) {
+        const double ms = timeMs([&] {
             SimOptions opts;
             opts.measureInstrs = kRoundInstrs;
-            if (traced)
-                opts.trace = sharedTrace(gcc, opts.streamId,
-                                         opts.traceOps());
             AnnealParams params;
             params.iterations = kRoundIters;
             Annealer annealer(
@@ -195,16 +211,19 @@ main(int argc, char **argv)
             volatile double s = annealer.run(space.initialConfig())
                                     .bestScore;
             (void)s;
-        };
-    };
-    const PairTiming roundTiming =
-        interleavedPairs(kRoundReps, round(false), round(true));
+        });
+        if (r > 0) // the first round builds the trace: untimed
+            roundMs.push_back(ms);
+    }
+    const double roundMedianMs = median(roundMs);
+    std::printf("generate %.2f ns/op, replay %.2f ns/op\n",
+                genMs * 1e6 / static_cast<double>(kOps),
+                replayMs * 1e6 / static_cast<double>(kOps));
     std::printf("annealer round (%llu evals x %llu instrs, gcc): "
-                "streaming %.1f ms, traced %.1f ms, %.2fx\n",
+                "%.1f ms\n",
                 static_cast<unsigned long long>(kRoundIters),
                 static_cast<unsigned long long>(kRoundInstrs),
-                roundTiming.streamingMs, roundTiming.tracedMs,
-                roundTiming.speedup);
+                roundMedianMs);
 
     // Worker-job latency: a small supervised batch after the timed
     // sections (fork noise must not disturb the timed numbers).
@@ -237,53 +256,39 @@ main(int argc, char **argv)
     }
     std::fprintf(f, "{\n");
     std::fprintf(f,
-                 "  \"schema\": 1,\n"
-                 "  \"settings\": {\"measure_instrs\": %llu, "
-                 "\"warmup_instrs\": %llu, \"config\": \"initial\", "
-                 "\"timing\": \"streaming/traced: %d (annealer round: "
-                 "%d) interleaved pairs, ms = median, speedup = median "
-                 "of per-pair ratios; micro_op_stream: min of 5\"},\n",
-                 static_cast<unsigned long long>(kMeasure),
-                 static_cast<unsigned long long>(kWarmup), kSimReps,
+                 "  \"schema\": 2,\n"
+                 "  \"settings\": {\"work\": \"explore gzip/mcf/twolf, "
+                 "evalInstrs 2000, saIters 16, 2 rounds, final 4000, "
+                 "checkpoint every 4; then their 3x3 matrix\", "
+                 "\"timing\": \"micro_op_stream: min of 5; "
+                 "annealer_round: median of %d\"},\n",
                  kRoundReps);
+    std::fprintf(f, "  \"work_counters\": {");
+    {
+        size_t i = 0;
+        for (const auto &[name, count] : work) {
+            std::fprintf(f, "%s\n    \"%s\": %llu", i++ ? "," : "",
+                         name.c_str(),
+                         static_cast<unsigned long long>(count));
+        }
+    }
+    std::fprintf(f, "\n  },\n");
     std::fprintf(f,
                  "  \"micro_op_stream\": {\"generate_ns_per_op\": %.2f, "
                  "\"replay_ns_per_op\": %.2f, \"speedup\": %.2f},\n",
                  genMs * 1e6 / static_cast<double>(kOps),
                  replayMs * 1e6 / static_cast<double>(kOps),
                  genMs / replayMs);
-    std::fprintf(f, "  \"simulate\": {\n");
-    for (size_t i = 0; i < sims.size(); ++i) {
-        std::fprintf(f,
-                     "    \"%s\": {\"streaming_ms\": %.3f, "
-                     "\"traced_ms\": %.3f, \"speedup\": %.2f}%s\n",
-                     sims[i].name.c_str(), sims[i].timing.streamingMs,
-                     sims[i].timing.tracedMs, sims[i].timing.speedup,
-                     i + 1 < sims.size() ? "," : "");
-    }
-    std::fprintf(f, "  },\n");
     std::fprintf(f,
                  "  \"annealer_round\": {\"evals\": %llu, "
                  "\"instrs_per_eval\": %llu, \"workload\": \"gcc\", "
-                 "\"streaming_ms\": %.3f, \"traced_ms\": %.3f, "
-                 "\"speedup\": %.2f},\n",
+                 "\"ms\": %.3f},\n",
                  static_cast<unsigned long long>(kRoundIters),
                  static_cast<unsigned long long>(kRoundInstrs),
-                 roundTiming.streamingMs, roundTiming.tracedMs,
-                 roundTiming.speedup);
-    // The streaming path above already contains this PR's scheduler
-    // and core-loop optimizations, so "speedup" understates the full
-    // before/after. These are the same measurements taken at the
-    // pre-PR commit (14bb5eb) on the same host, for reference.
-    std::fprintf(f,
-                 "  \"pre_pr_baseline\": {\"commit\": \"14bb5eb\", "
-                 "\"note\": \"streaming simulate() before this PR, "
-                 "same host/settings\", \"gcc_ms\": 23.58, "
-                 "\"gzip_ms\": 18.17, \"mcf_ms\": 63.12, "
-                 "\"twolf_ms\": 30.17},\n");
+                 roundMedianMs);
     // Latency distributions across everything above: sim.run and
-    // anneal.step from the timed sections, pool.job from the
-    // supervised batch.
+    // anneal.step from the work pass and the timed round, pool.job
+    // from the supervised batch.
     {
         const Metrics::Snapshot snap = Metrics::global().snapshot();
         std::fprintf(f, "  \"latency_histograms_ns\": {");

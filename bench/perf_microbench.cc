@@ -113,29 +113,7 @@ BENCHMARK(BM_CactiLite);
 void
 BM_SimulateWorkload(benchmark::State &state)
 {
-    const char *names[] = {"gzip", "gcc", "mcf"};
-    const WorkloadProfile &profile =
-        profileByName(names[state.range(0)]);
-    const CoreConfig cfg = CoreConfig::initial();
-    SimOptions opts;
-    opts.measureInstrs = 20000;
-    opts.warmupInstrs = 20000;
-    for (auto _ : state) {
-        const SimStats stats = simulate(profile, cfg, opts);
-        benchmark::DoNotOptimize(stats.cycles);
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) * 20000);
-    state.SetLabel(profile.name);
-}
-BENCHMARK(BM_SimulateWorkload)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_SimulateWorkloadTraced(benchmark::State &state)
-{
-    // BM_SimulateWorkload with the stream replayed from the shared
-    // trace cache instead of regenerated per run — the annealer's
+    // One evaluation replaying the shared trace — the annealer's
     // steady-state evaluation cost.
     const char *names[] = {"gzip", "gcc", "mcf"};
     const WorkloadProfile &profile =
@@ -153,24 +131,20 @@ BM_SimulateWorkloadTraced(benchmark::State &state)
         static_cast<int64_t>(state.iterations()) * 20000);
     state.SetLabel(profile.name);
 }
-BENCHMARK(BM_SimulateWorkloadTraced)->Arg(0)->Arg(1)->Arg(2)
+BENCHMARK(BM_SimulateWorkload)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void
 BM_AnnealerRound(benchmark::State &state)
 {
-    // One annealing round against the real simulator — the inner loop
-    // this PR optimizes. Arg(0)=0 regenerates the stream for every
-    // candidate (the old path); Arg(0)=1 replays the shared trace.
-    const bool traced = state.range(0) != 0;
+    // One annealing round against the real simulator, every candidate
+    // replaying gcc's shared trace.
     const WorkloadProfile &profile = profileByName("gcc");
     UnitTiming timing;
     SearchSpace space(timing);
     SimOptions opts;
     opts.measureInstrs = 10000;
-    if (traced)
-        opts.trace = sharedTrace(profile, opts.streamId,
-                                 opts.traceOps());
+    opts.trace = sharedTrace(profile, opts.streamId, opts.traceOps());
     AnnealParams params;
     params.iterations = 20;
     for (auto _ : state) {
@@ -185,10 +159,8 @@ BM_AnnealerRound(benchmark::State &state)
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) * 20);
-    state.SetLabel(traced ? "traced" : "streaming");
 }
-BENCHMARK(BM_AnnealerRound)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnnealerRound)->Unit(benchmark::kMillisecond);
 
 void
 BM_AnnealerAnalytic(benchmark::State &state)

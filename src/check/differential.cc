@@ -42,8 +42,7 @@ runDifferentialCase(const PropCase &c)
     {
         OooCore core(c.config);
         core.setChecker(&checker);
-        TraceCursor cursor(buffer);
-        r.ooo = core.run(cursor, c.measureInstrs, c.warmupInstrs);
+        r.ooo = core.run(buffer, c.measureInstrs, c.warmupInstrs);
     }
     {
         ReferenceCore oracle(c.config);

@@ -113,9 +113,9 @@ class Explorer
      *  enabled and present); results in suite order. */
     std::vector<WorkloadResult> exploreAll();
 
-    /** Evaluate one workload on one configuration (IPT). With a
-     *  trace, the stream is replayed from the shared buffer —
-     *  identical result, a fraction of the cost. */
+    /** Evaluate one workload on one configuration (IPT), replaying
+     *  `trace`, or the registry's trace for the workload when null
+     *  (identical result). */
     static double evaluate(const WorkloadProfile &profile,
                            const CoreConfig &config, uint64_t instrs,
                            std::shared_ptr<const TraceBuffer> trace =

@@ -203,6 +203,52 @@ struct WorkloadConvergence
     uint64_t bestStep = 0;
 };
 
+/** One complete ("X") span on a thread's timeline, in µs. */
+struct TimedSpan
+{
+    double ts;
+    double dur;
+    std::string cat;
+};
+
+/**
+ * Exclusive time per span category. Spans nest on a thread (explore
+ * ⊃ anneal ⊃ sim), so summing durations counts a nested second once
+ * per enclosing span; instead each span is charged its duration minus
+ * its direct children's on its (pid, tid). The rows then sum to the
+ * outermost spans' total, returned in `outermostUs`.
+ */
+std::map<std::string, double>
+exclusiveByCategory(
+    std::map<std::pair<int, uint64_t>, std::vector<TimedSpan>> &threads,
+    double &outermostUs)
+{
+    std::map<std::string, double> byCat;
+    outermostUs = 0;
+    for (auto &[thread, spans] : threads) {
+        // Parents first: by start, and the longer of two spans that
+        // start together encloses the shorter.
+        std::sort(spans.begin(), spans.end(),
+                  [](const TimedSpan &a, const TimedSpan &b) {
+                      return a.ts != b.ts ? a.ts < b.ts
+                                          : a.dur > b.dur;
+                  });
+        std::vector<const TimedSpan *> open;
+        for (const TimedSpan &span : spans) {
+            while (!open.empty() &&
+                   open.back()->ts + open.back()->dur <= span.ts)
+                open.pop_back();
+            byCat[span.cat] += span.dur;
+            if (open.empty())
+                outermostUs += span.dur;
+            else
+                byCat[open.back()->cat] -= span.dur;
+            open.push_back(&span);
+        }
+    }
+    return byCat;
+}
+
 void
 renderTrace(std::ostringstream &out, const ReportPaths &paths)
 {
@@ -220,18 +266,21 @@ renderTrace(std::ostringstream &out, const ReportPaths &paths)
 
     const json::Value &events = *trace.find("traceEvents");
     std::set<int> pids;
-    std::map<std::string, double> categoryUs;
+    std::map<std::pair<int, uint64_t>, std::vector<TimedSpan>> threads;
     std::map<std::string, WorkloadConvergence> workloads;
     size_t spans = 0, instants = 0;
     for (const json::Value &ev : events.items) {
         if (!ev.isObject())
             continue;
-        pids.insert(static_cast<int>(ev.numberOr("pid", 0)));
+        const int pid = static_cast<int>(ev.numberOr("pid", 0));
+        pids.insert(pid);
         const std::string ph = ev.stringOr("ph", "");
         if (ph == "X") {
             ++spans;
-            categoryUs[ev.stringOr("cat", "?")] +=
-                ev.numberOr("dur", 0.0);
+            threads[{pid, static_cast<uint64_t>(ev.numberOr("tid", 0))}]
+                .push_back(TimedSpan{ev.numberOr("ts", 0.0),
+                                     ev.numberOr("dur", 0.0),
+                                     ev.stringOr("cat", "?")});
         } else if (ph == "i") {
             ++instants;
             const std::string name = ev.stringOr("name", "");
@@ -265,17 +314,19 @@ renderTrace(std::ostringstream &out, const ReportPaths &paths)
         << pids.size() << " process" << (pids.size() == 1 ? "" : "es")
         << "\n";
 
+    double totalUs = 0;
+    const std::map<std::string, double> categoryUs =
+        exclusiveByCategory(threads, totalUs);
     if (!categoryUs.empty()) {
-        double totalUs = 0;
-        for (const auto &[cat, us] : categoryUs)
-            totalUs += us;
         std::vector<std::pair<std::string, double>> byTime(
             categoryUs.begin(), categoryUs.end());
         std::sort(byTime.begin(), byTime.end(),
                   [](const auto &a, const auto &b) {
                       return a.second > b.second;
                   });
-        out << "  time by span category:\n";
+        out << "  time by span category (exclusive of nested spans; "
+               "rows sum to the outermost spans' "
+            << formatNs(totalUs * 1000.0) << "):\n";
         for (const auto &[cat, us] : byTime) {
             char row[128];
             std::snprintf(row, sizeof(row), "    %-12s %10s  %s\n",

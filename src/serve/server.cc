@@ -22,7 +22,7 @@
 #include "obs/json.hh"
 #include "obs/log.hh"
 #include "obs/tracer.hh"
-#include "sim/simulator.hh"
+#include "sim/cells.hh"
 #include "util/atomic_file.hh"
 #include "util/env.hh"
 #include "util/fault.hh"
@@ -76,11 +76,13 @@ runWhatif(const Request &req, const CsvManifest &identity,
 {
     CsvDoc doc;
     doc.header = {"workload", "ipt"};
+    // One worker runs the workloads in turn: fanning them out over
+    // prefetchCells() was measured not to pay (DESIGN.md §11).
     SimOptions sim;
     sim.measureInstrs = req.instrs;
     for (const WorkloadProfile &p : req.workloads) {
         ProcPool::beat();
-        const SimStats stats = simulate(p, req.configs[0], sim);
+        const SimStats stats = simulateCell(p, req.configs[0], sim);
         doc.rows.push_back({p.name, fmtDouble(stats.ipt())});
     }
     writeCsv(resultPath, doc, identity, "worker.result");

@@ -138,11 +138,7 @@ prefetchCells(const std::vector<Cell> &cells, int threads)
              i = next.fetch_add(1)) {
             const Cell &cell = *todo[i];
             try {
-                SimOptions opts = cell.opts;
-                if (!opts.trace)
-                    opts.trace = sharedTrace(cell.profile, opts.streamId,
-                                             opts.traceOps());
-                simulateCell(cell.profile, cell.config, opts);
+                simulateCell(cell.profile, cell.config, cell.opts);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(failure_mutex);
                 if (!failure)

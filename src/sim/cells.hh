@@ -46,8 +46,6 @@ struct Cell
 {
     WorkloadProfile profile;
     CoreConfig config;
-    /** Without a trace, the prefetching thread takes the registry's
-     *  sharedTrace() for (profile, streamId), growing it if needed. */
     SimOptions opts;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <type_traits>
 
 #include "check/invariant_checker.hh"
 #include "util/logging.hh"
@@ -38,8 +37,7 @@ OooCore::OooCore(const CoreConfig &cfg, const Technology &tech)
       mulUnits_(std::max(1u, cfg.width / 3)),
       hierarchy_(cfg.l1Sets, cfg.l1Assoc, cfg.l1LineBytes, cfg.l1Cycles,
                  cfg.l2Sets, cfg.l2Assoc, cfg.l2LineBytes, cfg.l2Cycles,
-                 cfg.memCycles(tech)),
-      predictor_()
+                 cfg.memCycles(tech))
 {
     static_assert(kLatByCls[static_cast<int>(OpClass::IntMul)] ==
                   kMulLatency);
@@ -50,7 +48,6 @@ OooCore::OooCore(const CoreConfig &cfg, const Technology &tech)
         std::bit_ceil(static_cast<uint64_t>(cfg.robSize));
     robMask_ = rob_cap - 1;
     sOp_.resize(rob_cap);
-    slotOps_.resize(rob_cap);
     sMeta_.resize(rob_cap);
     sIssued_.resize(rob_cap);
     sWoke_.resize(rob_cap);
@@ -70,7 +67,6 @@ OooCore::OooCore(const CoreConfig &cfg, const Technology &tech)
     // Enough fetch-buffer slots to keep the front-end pipe full.
     fetchBufCap_ = static_cast<size_t>(feStages_ + 2) * cfg_.width;
     fOp_.resize(std::bit_ceil(fetchBufCap_));
-    fetchOps_.resize(fOp_.size());
     fCycle_.resize(fOp_.size());
     fMeta_.resize(fOp_.size());
     fbMask_ = fOp_.size() - 1;
@@ -403,7 +399,6 @@ OooCore::doIssue()
     return issued;
 }
 
-template <bool kCopyOps>
 uint32_t
 OooCore::doDispatch()
 {
@@ -422,17 +417,7 @@ OooCore::doDispatch()
 
         const uint64_t seq = robTail_;
         const uint64_t idx = slotIdx(seq);
-        const MicroOp *op;
-        if constexpr (kCopyOps) {
-            // Streaming: the fetched op lives in the fetch ring,
-            // whose entry is recycled before this slot retires.
-            slotOps_[idx] = *fOp_[fidx];
-            op = &slotOps_[idx];
-        } else {
-            // Replay: the op lives in the immutable trace buffer,
-            // which outlives the run.
-            op = fOp_[fidx];
-        }
+        const MicroOp *op = fOp_[fidx];
         sOp_[idx] = op;
         sMeta_[idx] = meta;
         sFetchCycle_[idx] = fCycle_[fidx];
@@ -485,41 +470,24 @@ OooCore::doDispatch()
     return dispatched;
 }
 
-template <typename Source>
 uint32_t
-OooCore::doFetch(Source &source)
+OooCore::doFetch()
 {
     if (fetchBlocked_ || cycle_ < nextFetchCycle_)
         return 0;
     uint32_t fetched = 0;
     while (fetched < cfg_.width && fbTail_ - fbHead_ < fetchBufCap_) {
         const uint64_t idx = fbTail_ & fbMask_;
-        uint8_t meta;
-        if constexpr (std::is_same_v<Source, DecodedSource>) {
-            // Replay: pointer into the immutable buffer; the meta —
-            // including the prediction outcome — was decoded once
-            // per trace.
-            if (source.pos >= source.size) [[unlikely]] {
-                panic("OooCore: trace exhausted after %llu ops; size "
-                      "the buffer with kTraceSlackOps (use "
-                      "sharedTrace())",
-                      static_cast<unsigned long long>(source.size));
-            }
-            fOp_[idx] = &source.ops[source.pos];
-            meta = source.meta[source.pos];
-            ++source.pos;
-        } else {
-            // Streaming: the generator recycles its op storage, so
-            // park a copy in the ring until dispatch, and consult
-            // the live predictor.
-            fetchOps_[idx] = source.next();
-            const MicroOp &op = fetchOps_[idx];
-            fOp_[idx] = &op;
-            meta = decodeMicroOp(op);
-            if ((meta & kMetaCondBranch) &&
-                !predictor_.predict(op.pc, op.taken))
-                meta |= kMetaMispredict;
+        if (srcPos_ >= srcSize_) [[unlikely]] {
+            panic("OooCore: trace exhausted after %llu ops; size the "
+                  "buffer with kTraceSlackOps (use sharedTrace())",
+                  static_cast<unsigned long long>(srcSize_));
         }
+        // A pointer into the immutable buffer; the meta — including
+        // the prediction outcome — was built with the trace.
+        fOp_[idx] = &srcOps_[srcPos_];
+        const uint8_t meta = srcMeta_[srcPos_];
+        ++srcPos_;
         fMeta_[idx] = meta;
         fCycle_[idx] = cycle_;
         ++fbTail_;
@@ -579,11 +547,9 @@ OooCore::skipIdle()
 }
 
 void
-OooCore::resetMachine(uint64_t measure, bool reset_predictor)
+OooCore::resetMachine(uint64_t measure)
 {
     hierarchy_.reset();
-    if (reset_predictor)
-        predictor_.reset();
     fbHead_ = fbTail_ = 0;
     storeBySeq_.clear();
     std::fill(readyBits_.begin(), readyBits_.end(), 0);
@@ -612,15 +578,14 @@ OooCore::resetMachine(uint64_t measure, bool reset_predictor)
         checker_->onRunStart();
 }
 
-template <typename Source>
 void
-OooCore::advanceLoop(Source &source, uint64_t stop_at)
+OooCore::advanceLoop(uint64_t stop_at)
 {
     while (committed_ < stop_at) {
         uint32_t moved = doCommit();
         moved += doIssue();
-        moved += doDispatch<!std::is_same_v<Source, DecodedSource>>();
-        moved += doFetch(source);
+        moved += doDispatch();
+        moved += doFetch();
         if (moved == 0)
             skipIdle(); // jump a stall to its next trigger cycle
         statRobOccSum_ += robTail_ - robHead_;
@@ -655,69 +620,39 @@ OooCore::collectStats() const
     return out;
 }
 
-SimStats
-OooCore::run(SyntheticWorkload &workload, uint64_t measure,
-             uint64_t warmup)
-{
-    resetMachine(measure, /*reset_predictor=*/true);
-
-    // Functional warmup: stream addresses through the hierarchy and
-    // outcomes through the predictor with no timing, so that large
-    // caches are warm even in short timed windows (a timed warmup of
-    // the same length would leave multi-megabyte L2s cold and bias
-    // the exploration against capacity).
-    for (uint64_t i = 0; i < warmup; ++i) {
-        const MicroOp &op = workload.next();
-        switch (op.cls) {
-          case OpClass::Load:
-            hierarchy_.loadLatency(op.addr);
-            break;
-          case OpClass::Store:
-            hierarchy_.storeTouch(op.addr);
-            break;
-          case OpClass::CondBranch:
-            predictor_.predict(op.pc, op.taken);
-            break;
-          default:
-            break;
-        }
-    }
-
-    advanceLoop(workload, measure);
-    return collectStats();
-}
-
 void
 OooCore::beginTraceRun(std::shared_ptr<const TraceBuffer> trace,
                        uint64_t measure, uint64_t warmup)
 {
     srcBuf_ = std::move(trace);
-    srcDecoded_ = decodedTrace(srcBuf_);
-    src_ = DecodedSource{srcBuf_->ops().data(), srcDecoded_->meta(),
-                         srcBuf_->size(), 0};
-    if (src_.size < warmup) {
+    srcOps_ = srcBuf_->ops().data();
+    srcMeta_ = srcBuf_->meta().data();
+    srcSize_ = srcBuf_->size();
+    srcPos_ = 0;
+    if (srcSize_ < warmup) {
         panic("OooCore: trace '%s' holds %llu ops, warmup needs %llu",
               srcBuf_->profileName().c_str(),
-              static_cast<unsigned long long>(src_.size),
+              static_cast<unsigned long long>(srcSize_),
               static_cast<unsigned long long>(warmup));
     }
 
-    // Replay never consults the live predictor (predictions are baked
-    // into the decoded meta), so skip its reset.
-    resetMachine(measure, /*reset_predictor=*/false);
+    resetMachine(measure);
 
-    // Functional warmup (see the streaming overload): in replay only
-    // the hierarchy trains — predictions are precomputed.
-    for (uint64_t i = 0; i < warmup; ++i) {
-        const uint8_t m = src_.meta[src_.pos];
+    // Functional warmup: stream addresses through the hierarchy with
+    // no timing, so that large caches are warm even in short timed
+    // windows (a timed warmup of the same length would leave
+    // multi-megabyte L2s cold and bias the exploration against
+    // capacity). The branch predictor was trained through these ops
+    // when the trace was built: its outcomes are in the meta bytes.
+    for (; srcPos_ < warmup; ++srcPos_) {
+        const uint8_t m = srcMeta_[srcPos_];
         if (m & kMetaIsMem) {
-            const uint64_t addr = src_.ops[src_.pos].addr;
+            const uint64_t addr = srcOps_[srcPos_].addr;
             if (m & kMetaIsStore)
                 hierarchy_.storeTouch(addr);
             else
                 hierarchy_.loadLatency(addr);
         }
-        ++src_.pos;
     }
 }
 
@@ -728,7 +663,7 @@ OooCore::advance(uint64_t commit_budget)
         commit_budget >= commitTarget_ - committed_
             ? commitTarget_
             : committed_ + commit_budget;
-    advanceLoop(src_, stop);
+    advanceLoop(stop);
     return committed_ >= commitTarget_;
 }
 
@@ -739,12 +674,6 @@ OooCore::run(std::shared_ptr<const TraceBuffer> trace,
     beginTraceRun(std::move(trace), measure, warmup);
     advance(measure);
     return finish();
-}
-
-SimStats
-OooCore::run(TraceCursor &trace, uint64_t measure, uint64_t warmup)
-{
-    return run(trace.share(), measure, warmup);
 }
 
 } // namespace xps

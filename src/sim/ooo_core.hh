@@ -19,7 +19,8 @@
  *              (frontEndStages cycles, derived from the fixed 2ns
  *              front-end latency and the clock) has elapsed; stalls
  *              when any structure is full.
- *   fetch    : up to `width` instructions per cycle from the trace; a
+ *   fetch    : up to `width` instructions per cycle from the trace
+ *              (the core's only input; see workload/trace.hh); a
  *              taken control instruction ends the fetch group; a
  *              mispredicted conditional branch blocks fetch until it
  *              resolves (trace-driven misprediction model: the wrong
@@ -43,9 +44,9 @@
  * arrays (meta byte, wait count, issued flag, complete cycle,
  * address, consumer chain heads) indexed by `seq & robMask_`. The
  * per-op classification switches collapse to a one-byte decoded meta
- * (see decodeMicroOp); in trace replay the meta — including the
- * branch-prediction outcome — is precomputed once per trace
- * (DecodedTrace) and shared by every evaluation.
+ * (see decodeMicroOp); the meta — including the branch-prediction
+ * outcome — is built once per trace, beside its ops, and shared by
+ * every evaluation (TraceBuffer::meta()).
  *
  * Memory-dependence stalls (a load behind an unexecuted same-word
  * store) are handled with per-store waiter lists and retry events at
@@ -77,15 +78,12 @@
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "sim/sim_stats.hh"
-#include "workload/branch_predictor.hh"
-#include "workload/generator.hh"
+#include "workload/micro_op.hh"
 
 namespace xps
 {
 
 class TraceBuffer;
-class TraceCursor;
-class DecodedTrace;
 class InvariantChecker;
 
 namespace testhooks
@@ -100,7 +98,7 @@ namespace testhooks
 extern bool injectWakeupBug;
 } // namespace testhooks
 
-/** One core executing one workload stream. */
+/** One core replaying one workload trace. */
 class OooCore
 {
   public:
@@ -116,29 +114,21 @@ class OooCore
     void setChecker(InvariantChecker *checker) { checker_ = checker; }
 
     /**
-     * Run the workload for `warmup` + `measure` committed
-     * instructions and return statistics for the measurement window.
+     * Replay `trace` from position 0 for `warmup` functional-warmup
+     * + `measure` timed committed instructions and return statistics
+     * for the measurement window. The buffer must hold the warmup
+     * plus the measured ops and the fetch-ahead slack
+     * (sharedTrace() sizes it with kTraceSlackOps).
      */
-    SimStats run(SyntheticWorkload &workload, uint64_t measure,
-                 uint64_t warmup);
-
-    /** Same, replaying a pre-generated trace (bit-identical to the
-     *  streaming overload for the same profile/stream). */
     SimStats run(std::shared_ptr<const TraceBuffer> trace,
                  uint64_t measure, uint64_t warmup);
 
-    /** Convenience overload: replays `trace`'s buffer from position
-     *  0. The cursor only donates its buffer handle and is not
-     *  advanced (no caller reuses one after a run). */
-    SimStats run(TraceCursor &trace, uint64_t measure,
-                 uint64_t warmup);
-
-    // --- resumable trace replay: run(trace) is begin + advance + finish
+    // --- resumable replay: run(trace) is begin + advance + finish
 
     /**
-     * Reset and functionally warm the machine for a trace-replay run
-     * (the decoded sidecar is looked up / built via decodedTrace()).
-     * Follow with advance() until it returns true, then finish().
+     * Reset and functionally warm the machine for a run over
+     * `trace`. Follow with advance() until it returns true, then
+     * finish().
      */
     void beginTraceRun(std::shared_ptr<const TraceBuffer> trace,
                        uint64_t measure, uint64_t warmup);
@@ -165,15 +155,6 @@ class OooCore
     {
         uint64_t word;
         uint64_t seq;
-    };
-
-    /** Replay source: raw op + decoded-meta arrays and a position. */
-    struct DecodedSource
-    {
-        const MicroOp *ops = nullptr;
-        const uint8_t *meta = nullptr;
-        uint64_t size = 0;
-        uint64_t pos = 0;
     };
 
     /**
@@ -293,16 +274,12 @@ class OooCore
     // which all four return zero is provably idle (see skipIdle()).
     uint32_t doCommit();
     uint32_t doIssue();
-    /** kCopyOps: streaming sources return a reference into the
-     *  generator that the next op overwrites, so dispatch must copy
-     *  the op into slot-owned storage; trace replay must not. */
-    template <bool kCopyOps> uint32_t doDispatch();
-    template <typename Source> uint32_t doFetch(Source &source);
+    uint32_t doDispatch();
+    uint32_t doFetch();
     void skipIdle();
 
-    void resetMachine(uint64_t measure, bool reset_predictor);
-    template <typename Source>
-    void advanceLoop(Source &source, uint64_t stop_at);
+    void resetMachine(uint64_t measure);
+    void advanceLoop(uint64_t stop_at);
     SimStats collectStats() const;
 
     int loadLatencyFor(uint64_t seq, uint64_t addr,
@@ -350,14 +327,10 @@ class OooCore
     static constexpr uint32_t kNilEdge = UINT32_MAX;
 
     MemoryHierarchy hierarchy_;
-    BranchPredictor predictor_;
 
     // --- per-slot state, structure-of-arrays, indexed seq & robMask_
-    /** Micro-op: into the trace buffer (replay) or slotOps_
-     *  (streaming). */
+    /** Micro-op in the trace buffer, which outlives the run. */
     std::vector<const MicroOp *> sOp_;
-    /** Streaming-mode op storage (unused when replaying a trace). */
-    std::vector<MicroOp> slotOps_;
     std::vector<uint8_t> sMeta_;    ///< decoded meta byte
     std::vector<uint8_t> sIssued_;  ///< left the IQ
     std::vector<uint8_t> sWoke_;    ///< dependents already released
@@ -418,9 +391,6 @@ class OooCore
     // --- fetched-but-not-dispatched ring, SoA, capacity
     // fetchBufCap_, storage a power of two for cheap index masking
     std::vector<const MicroOp *> fOp_;
-    /** Streaming-mode op storage parallel to fOp_ (unused when
-     *  replaying a trace). */
-    std::vector<MicroOp> fetchOps_;
     std::vector<uint64_t> fCycle_;
     std::vector<uint8_t> fMeta_;
     uint64_t fbMask_ = 0;
@@ -439,11 +409,13 @@ class OooCore
     uint64_t commitTarget_ = 0; ///< stop committing exactly here
     uint64_t cycleGuard_ = 0;
 
-    /** Replay source state for the resumable API (keepalives pin the
-     *  buffer and decoded sidecar across advance() calls). */
-    DecodedSource src_;
+    /** The trace being replayed (pinned across advance() calls), its
+     *  op and meta arrays, and the next position to fetch. */
     std::shared_ptr<const TraceBuffer> srcBuf_;
-    std::shared_ptr<const DecodedTrace> srcDecoded_;
+    const MicroOp *srcOps_ = nullptr;
+    const uint8_t *srcMeta_ = nullptr;
+    uint64_t srcSize_ = 0;
+    uint64_t srcPos_ = 0;
 
     /** Latest in-flight store per 8-byte-aligned address. */
     StoreMap storeBySeq_;

@@ -8,7 +8,6 @@
 #include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
-#include "workload/generator.hh"
 #include "workload/trace.hh"
 
 namespace xps
@@ -62,29 +61,26 @@ simulate(const WorkloadProfile &profile, const CoreConfig &config,
             config, /*fail_fast=*/true);
         core.setChecker(owned.get());
     }
-    if (opts.trace) {
-        const TraceBuffer &trace = *opts.trace;
-        if (trace.fingerprint() != profileFingerprint(profile) ||
-            trace.streamId() != opts.streamId) {
-            fatal("simulate: trace '%s' (stream %llu) does not match "
-                  "workload '%s' (stream %llu)",
-                  trace.profileName().c_str(),
-                  static_cast<unsigned long long>(trace.streamId()),
-                  profile.name.c_str(),
-                  static_cast<unsigned long long>(opts.streamId));
-        }
-        if (trace.size() < opts.traceOps()) {
-            fatal("simulate: trace '%s' holds %llu ops, run needs "
-                  ">= %llu (request a longer sharedTrace())",
-                  trace.profileName().c_str(),
-                  static_cast<unsigned long long>(trace.size()),
-                  static_cast<unsigned long long>(opts.traceOps()));
-        }
-        return core.run(opts.trace, opts.measureInstrs,
-                        opts.effectiveWarmup());
+    std::shared_ptr<const TraceBuffer> trace = opts.trace;
+    if (!trace)
+        trace = sharedTrace(profile, opts.streamId, opts.traceOps());
+    if (trace->fingerprint() != profileFingerprint(profile) ||
+        trace->streamId() != opts.streamId) {
+        fatal("simulate: trace '%s' (stream %llu) does not match "
+              "workload '%s' (stream %llu)",
+              trace->profileName().c_str(),
+              static_cast<unsigned long long>(trace->streamId()),
+              profile.name.c_str(),
+              static_cast<unsigned long long>(opts.streamId));
     }
-    SyntheticWorkload workload(profile, opts.streamId);
-    return core.run(workload, opts.measureInstrs,
+    if (trace->size() < opts.traceOps()) {
+        fatal("simulate: trace '%s' holds %llu ops, run needs "
+              ">= %llu (request a longer sharedTrace())",
+              trace->profileName().c_str(),
+              static_cast<unsigned long long>(trace->size()),
+              static_cast<unsigned long long>(opts.traceOps()));
+    }
+    return core.run(std::move(trace), opts.measureInstrs,
                     opts.effectiveWarmup());
 }
 

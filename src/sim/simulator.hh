@@ -32,13 +32,12 @@ struct SimOptions
     /** Decorrelates the workload stream across runs. */
     uint64_t streamId = 0;
     /**
-     * Optional pre-generated trace (see workload/trace.hh). When set,
-     * the stream is replayed from the shared buffer instead of being
-     * regenerated — bit-identical results, an order of magnitude less
-     * per-evaluation work. The buffer must match (profile, streamId)
-     * and hold at least measure + warmup ops (sharedTrace() sizes it
-     * with slack); otherwise streaming generation is the fallback by
-     * simply leaving this null.
+     * The trace to replay (see workload/trace.hh). When null,
+     * simulate() takes sharedTrace(profile, streamId, traceOps()) —
+     * the registry's buffer, generated once per process and shared.
+     * A caller-supplied buffer must match (profile, streamId) and hold
+     * at least measure + warmup ops (sharedTrace() sizes it with
+     * slack); results do not depend on which buffer is used.
      */
     std::shared_ptr<const TraceBuffer> trace;
 
@@ -71,10 +70,11 @@ struct SimOptions
 };
 
 /**
- * Simulate `profile` on `config`. Deterministic for fixed arguments,
- * and independent of whether `opts.trace` is set. The configuration
- * is validated against the default technology's timing model (fatal
- * if any unit does not fit its stage budget).
+ * Simulate `profile` on `config` by replaying its trace on one
+ * OooCore. Deterministic for fixed arguments, and independent of
+ * whether `opts.trace` is set. The configuration is validated against
+ * the default technology's timing model (fatal if any unit does not
+ * fit its stage budget).
  */
 SimStats simulate(const WorkloadProfile &profile,
                   const CoreConfig &config,

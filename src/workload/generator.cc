@@ -27,6 +27,8 @@ constexpr double kHeapNeighborProb = 0.08;
 /** Upper bound on dependence distances (beyond this a producer has
  *  effectively always retired). */
 constexpr uint32_t kMaxDepDistance = 256;
+static_assert(kMaxDepDistance <= UINT16_MAX,
+              "MicroOp::srcDist holds a distance in 16 bits");
 
 } // namespace
 
@@ -167,11 +169,11 @@ SyntheticWorkload::memoryAddress(bool is_store)
     return kHeapBase + line * kHeapGranule + offset;
 }
 
-uint32_t
+uint16_t
 SyntheticWorkload::depDistance()
 {
     uint64_t d = 1 + rng_.geometric(depGeomP_);
-    return static_cast<uint32_t>(std::min<uint64_t>(d, kMaxDepDistance));
+    return static_cast<uint16_t>(std::min<uint64_t>(d, kMaxDepDistance));
 }
 
 const MicroOp &
@@ -203,7 +205,7 @@ SyntheticWorkload::next()
         if (lastLoadDist_ > 0 && lastLoadDist_ <= kMaxDepDistance &&
             rng_.chance(p.loadChaseProb)) {
             // Pointer chase: address depends on the previous load.
-            op_.srcDist[0] = static_cast<uint32_t>(lastLoadDist_);
+            op_.srcDist[0] = static_cast<uint16_t>(lastLoadDist_);
         } else {
             op_.srcDist[0] = depDistance();
         }

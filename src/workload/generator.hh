@@ -36,7 +36,8 @@
 namespace xps
 {
 
-/** Streaming generator of MicroOps for one workload. */
+/** Generator of MicroOps for one workload: the producer behind every
+ *  TraceBuffer (trace.hh), which is what the core replays. */
 class SyntheticWorkload
 {
   public:
@@ -78,7 +79,7 @@ class SyntheticWorkload
     void resetState();
     bool branchOutcome(BranchSite &site);
     uint64_t memoryAddress(bool is_store);
-    uint32_t depDistance();
+    uint16_t depDistance();
 
     WorkloadProfile profile_;
     uint64_t streamId_;

@@ -3,8 +3,9 @@
  * The dynamic micro-operation record produced by the synthetic
  * workload generators and consumed by the timing simulator. This is
  * the trace format of the reproduction: where the paper's xp-scalar
- * executes PISA binaries under SimpleScalar, we stream MicroOps whose
- * statistics are calibrated per benchmark (see profile.hh).
+ * executes PISA binaries under SimpleScalar, we replay traces of
+ * MicroOps whose statistics are calibrated per benchmark (see
+ * profile.hh and trace.hh).
  */
 
 #ifndef XPS_WORKLOAD_MICRO_OP_HH
@@ -37,18 +38,22 @@ const char *opClassName(OpClass cls);
  * *dynamic distances*: srcDist[i] = d means the i-th source operand is
  * produced by the instruction d positions earlier in the dynamic
  * stream (d >= 1); 0 means the operand is already available.
+ *
+ * Laid out widest field first so an op packs into 24 bytes: a trace
+ * holds one per simulated instruction (DESIGN.md §6).
  */
 struct MicroOp
 {
-    OpClass cls = OpClass::IntAlu;
-    uint8_t numSrcs = 0;
-    uint32_t srcDist[2] = {0, 0};
     /** Effective address for Load/Store; 0 otherwise. */
     uint64_t addr = 0;
-    /** Outcome for CondBranch (Jump is always taken). */
-    bool taken = false;
     /** Static site of a branch (synthetic PC for predictor indexing). */
     uint64_t pc = 0;
+    /** Distances are at most the generator's kMaxDepDistance (256). */
+    uint16_t srcDist[2] = {0, 0};
+    OpClass cls = OpClass::IntAlu;
+    uint8_t numSrcs = 0;
+    /** Outcome for CondBranch (Jump is always taken). */
+    bool taken = false;
 
     bool
     operator==(const MicroOp &o) const
@@ -69,13 +74,16 @@ struct MicroOp
     }
 };
 
+static_assert(sizeof(MicroOp) == 24, "a trace stores one MicroOp per "
+                                      "instruction; keep it compact");
+
 /**
  * Decoded per-op metadata byte. The core's cycle loop asks the same
  * handful of questions about every op it touches — class, memory-ness,
- * does-it-end-the-fetch-group — and in trace replay asks them once per
- * op per *configuration evaluation*. Folding the answers into one byte
- * (decoded once per op, or once per trace via DecodedTrace) turns the
- * per-op classification switches into single-byte tests.
+ * does-it-end-the-fetch-group, was-it-mispredicted — once per op per
+ * *configuration evaluation*. A TraceBuffer answers them once, in the
+ * pass that generates its ops, and stores one byte per op beside them,
+ * so the per-op classification switches become single-byte tests.
  *
  * Bit layout:
  *   0-2  OpClass (numeric value)
@@ -83,8 +91,7 @@ struct MicroOp
  *   4    store
  *   5    taken control op (ends the fetch group)
  *   6    conditional branch
- *   7    mispredicted (predictor outcome; only DecodedTrace or the
- *        streaming fetch stage set this)
+ *   7    mispredicted (the trace's branch-predictor outcome)
  */
 constexpr uint8_t kMetaClsMask = 0x07;
 constexpr uint8_t kMetaIsMem = 0x08;

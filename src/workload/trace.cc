@@ -67,23 +67,64 @@ profileFingerprint(const WorkloadProfile &p)
     return h;
 }
 
+/**
+ * The producer behind a trace: the generator and the predictor that
+ * scores its branches, advanced together. The registry keeps one
+ * paused at each buffer's end, so growing a trace appends exactly the
+ * ops and meta bytes a fresh buffer of the larger size would hold.
+ */
+class TraceProducer
+{
+  public:
+    TraceProducer(const WorkloadProfile &profile, uint64_t stream_id)
+        : gen_(profile, stream_id)
+    {
+    }
+
+    /** Append ops and their meta bytes until `ops` holds `want`. */
+    void
+    extend(std::vector<MicroOp> &ops, std::vector<uint8_t> &meta,
+           uint64_t want)
+    {
+        while (ops.size() < want) {
+            const MicroOp &op = gen_.next();
+            uint8_t m = decodeMicroOp(op);
+            if (op.cls == OpClass::CondBranch &&
+                !predictor_.predict(op.pc, op.taken))
+                m |= kMetaMispredict;
+            ops.push_back(op);
+            meta.push_back(m);
+        }
+    }
+
+  private:
+    SyntheticWorkload gen_;
+    BranchPredictor predictor_;
+};
+
 TraceBuffer::TraceBuffer(const WorkloadProfile &profile,
                          uint64_t stream_id, uint64_t ops)
     : profileName_(profile.name),
       fingerprint_(profileFingerprint(profile)), streamId_(stream_id)
 {
-    SyntheticWorkload gen(profile, stream_id);
     ops_.reserve(ops);
-    for (uint64_t i = 0; i < ops; ++i)
-        ops_.push_back(gen.next());
+    meta_.reserve(ops);
+    TraceProducer(profile, stream_id).extend(ops_, meta_, ops);
 }
 
 TraceBuffer::TraceBuffer(const WorkloadProfile &profile,
-                         uint64_t stream_id, std::vector<MicroOp> ops)
+                         uint64_t stream_id, const TraceBuffer *prefix,
+                         TraceProducer &producer, uint64_t ops)
     : profileName_(profile.name),
-      fingerprint_(profileFingerprint(profile)), streamId_(stream_id),
-      ops_(std::move(ops))
+      fingerprint_(profileFingerprint(profile)), streamId_(stream_id)
 {
+    ops_.reserve(ops);
+    meta_.reserve(ops);
+    if (prefix) {
+        ops_.assign(prefix->ops_.begin(), prefix->ops_.end());
+        meta_.assign(prefix->meta_.begin(), prefix->meta_.end());
+    }
+    producer.extend(ops_, meta_, ops);
 }
 
 bool
@@ -126,9 +167,9 @@ namespace
 
 struct RegistryEntry
 {
-    /** Generator paused at ops_ generated so far: growing a trace
-     *  appends instead of replaying the prefix. */
-    std::unique_ptr<SyntheticWorkload> gen;
+    /** Paused at buf's end: growing a trace appends instead of
+     *  replaying the prefix. */
+    std::unique_ptr<TraceProducer> producer;
     std::shared_ptr<const TraceBuffer> buf;
 };
 
@@ -178,99 +219,19 @@ sharedTrace(const WorkloadProfile &profile, uint64_t stream_id,
             .add("want_ops", want);
     });
 
-    if (!entry.gen) {
-        entry.gen =
-            std::make_unique<SyntheticWorkload>(profile, stream_id);
+    if (!entry.producer) {
+        entry.producer =
+            std::make_unique<TraceProducer>(profile, stream_id);
     }
     // Copy-on-grow: readers of the old buffer are never disturbed.
-    std::vector<MicroOp> ops;
-    ops.reserve(want);
-    if (entry.buf)
-        ops = entry.buf->ops();
-    while (ops.size() < want)
-        ops.push_back(entry.gen->next());
-    entry.buf = std::make_shared<const TraceBuffer>(profile, stream_id,
-                                                    std::move(ops));
+    entry.buf = std::shared_ptr<const TraceBuffer>(new TraceBuffer(
+        profile, stream_id, entry.buf.get(), *entry.producer, want));
     return entry.buf;
-}
-
-DecodedTrace::DecodedTrace(const TraceBuffer &buffer)
-{
-    // Replaying the predictor over the whole buffer up front: each
-    // prediction depends only on the preceding branch outcomes, so the
-    // bits below equal what a core would compute live at fetch —
-    // whatever window of the buffer it runs.
-    BranchPredictor predictor;
-    const std::vector<MicroOp> &ops = buffer.ops();
-    meta_.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-        const MicroOp &op = ops[i];
-        uint8_t m = decodeMicroOp(op);
-        if (op.cls == OpClass::CondBranch &&
-            !predictor.predict(op.pc, op.taken)) {
-            m |= kMetaMispredict;
-        }
-        meta_[i] = m;
-    }
-}
-
-namespace
-{
-
-struct DecodedEntry
-{
-    /** Watches buffer liveness: an expired entry is pruned. */
-    std::weak_ptr<const TraceBuffer> buf;
-    std::shared_ptr<const DecodedTrace> decoded;
-};
-
-std::mutex decodedMutex;
-std::map<const TraceBuffer *, DecodedEntry> &
-decodedRegistry()
-{
-    static std::map<const TraceBuffer *, DecodedEntry> r;
-    return r;
-}
-
-} // namespace
-
-std::shared_ptr<const DecodedTrace>
-decodedTrace(const std::shared_ptr<const TraceBuffer> &buffer)
-{
-    if (!buffer)
-        fatal("decodedTrace: null trace buffer");
-    std::lock_guard<std::mutex> lock(decodedMutex);
-    auto &reg = decodedRegistry();
-    const auto it = reg.find(buffer.get());
-    if (it != reg.end() && it->second.buf.lock() == buffer) {
-        Metrics::global().counter("trace_cache.decode_hits").add();
-        return it->second.decoded;
-    }
-    // Prune entries whose buffer died (the registry grew past them).
-    for (auto i = reg.begin(); i != reg.end();) {
-        if (i->second.buf.expired())
-            i = reg.erase(i);
-        else
-            ++i;
-    }
-    Metrics::global().counter("trace_cache.decodes").add();
-    obs::ScopedSpan span("trace.decode", "trace", [&] {
-        return obs::Args()
-            .add("workload", buffer->profileName())
-            .add("ops", buffer->size());
-    });
-    auto decoded = std::make_shared<const DecodedTrace>(*buffer);
-    reg[buffer.get()] = DecodedEntry{buffer, decoded};
-    return decoded;
 }
 
 void
 clearTraceRegistry()
 {
-    {
-        std::lock_guard<std::mutex> lock(decodedMutex);
-        decodedRegistry().clear();
-    }
     std::lock_guard<std::mutex> lock(registryMutex);
     registry().clear();
 }

@@ -1,27 +1,31 @@
 /**
  * @file
- * Shared immutable trace cache. A micro-op stream depends only on
- * (profile, streamId, length), yet the streaming generator re-derives
- * it — several RNG draws, a Zipf inversion and a geometric draw per
- * op — for every one of the thousands of configuration evaluations the
- * annealer performs per workload. A TraceBuffer materializes the
- * stream once into a flat, cache-friendly vector that is then shared
- * read-only (via shared_ptr) across every simulation of that workload:
- * annealing iterations, the cross-configuration matrix, and the
+ * Shared immutable traces: the core's only input. A micro-op stream
+ * depends only on (profile, streamId, length), and the generator
+ * derives it with several RNG draws, a Zipf inversion and a geometric
+ * draw per op, while thousands of configuration evaluations per
+ * workload replay it. A TraceBuffer materializes the stream once into
+ * a flat vector of 24-byte ops, plus one decoded meta byte per op
+ * (decodeMicroOp and the branch predictor's outcome) computed in the
+ * same pass, and is then shared read-only (via shared_ptr) across
+ * every simulation of that workload: annealing iterations, the
+ * cross-configuration matrix, daemon what-if queries and the
  * surrogate/subsetting experiments all replay the same buffer from
  * any number of threads concurrently.
  *
  * Sharing rules (DESIGN.md §6):
  *  - a TraceBuffer is immutable after construction; concurrent readers
  *    need no synchronization;
- *  - ownership is shared_ptr<const TraceBuffer>; a replay cursor keeps
- *    its buffer alive, so callers may drop their handle mid-run;
+ *  - ownership is shared_ptr<const TraceBuffer>; a run or replay
+ *    cursor keeps its buffer alive, so callers may drop their handle
+ *    mid-run;
  *  - sharedTrace() is the memoizing registry: one buffer per
  *    (profile fingerprint, streamId), grown monotonically when a
  *    longer run asks for more ops (existing handles stay valid — the
- *    registry swaps in a longer buffer instead of mutating);
- *  - replay is bit-identical to streaming generation: the buffer is
- *    filled by the same SyntheticWorkload the fallback path would run.
+ *    registry swaps in a longer buffer instead of mutating). Each
+ *    entry keeps its generator and branch predictor paused at the
+ *    buffer's end, so a grown trace equals a fresh one of its size,
+ *    op for op and meta byte for meta byte.
  */
 
 #ifndef XPS_WORKLOAD_TRACE_HH
@@ -49,20 +53,25 @@ constexpr uint64_t kTraceSlackOps = 8192;
  *  profiles with equal fingerprints generate identical streams. */
 uint64_t profileFingerprint(const WorkloadProfile &profile);
 
+/** The generator and branch predictor behind a buffer (trace.cc). */
+class TraceProducer;
+
 /** An immutable, pre-generated micro-op stream for one workload. */
 class TraceBuffer
 {
   public:
-    /** Generate `ops` micro-ops of (profile, stream_id) eagerly. */
+    /** Generate `ops` micro-ops of (profile, stream_id) and their meta
+     *  bytes eagerly. */
     TraceBuffer(const WorkloadProfile &profile, uint64_t stream_id,
                 uint64_t ops);
 
-    /** Wrap an already-generated stream (the registry's grow path).
-     *  `ops` must be the profile's stream from position 0. */
-    TraceBuffer(const WorkloadProfile &profile, uint64_t stream_id,
-                std::vector<MicroOp> ops);
-
     const std::vector<MicroOp> &ops() const { return ops_; }
+    /** One meta byte per op (micro_op.hh): decodeMicroOp() plus
+     *  kMetaMispredict from a BranchPredictor trained on this stream
+     *  from position 0. A prediction depends only on the preceding
+     *  branch outcomes, so it is what a core would compute live at
+     *  fetch, whatever window of the buffer it runs. */
+    const std::vector<uint8_t> &meta() const { return meta_; }
     uint64_t size() const { return ops_.size(); }
     const std::string &profileName() const { return profileName_; }
     uint64_t fingerprint() const { return fingerprint_; }
@@ -76,17 +85,28 @@ class TraceBuffer
     }
 
   private:
+    friend std::shared_ptr<const TraceBuffer>
+    sharedTrace(const WorkloadProfile &profile, uint64_t stream_id,
+                uint64_t min_ops);
+
+    /** The registry's grow path: `prefix` (null for none) continued
+     *  to `ops` micro-ops by `producer`, which is paused at its end. */
+    TraceBuffer(const WorkloadProfile &profile, uint64_t stream_id,
+                const TraceBuffer *prefix, TraceProducer &producer,
+                uint64_t ops);
+
     std::string profileName_;
     uint64_t fingerprint_;
     uint64_t streamId_;
     std::vector<MicroOp> ops_;
+    std::vector<uint8_t> meta_;
 };
 
 /**
- * Read-only replay cursor over a shared TraceBuffer. next() matches
- * SyntheticWorkload::next() so the core can consume either; running
- * past the end is fatal (size the buffer with kTraceSlackOps — the
- * registry does).
+ * Read-only op-by-op replay cursor over a shared TraceBuffer, for the
+ * reference core (src/check) and op-level tests; OooCore reads the
+ * buffer directly. Running past the end is fatal (size the buffer
+ * with kTraceSlackOps — the registry does).
  */
 class TraceCursor
 {
@@ -103,9 +123,6 @@ class TraceCursor
 
     uint64_t generated() const { return pos_; }
     const TraceBuffer &buffer() const { return *buffer_; }
-    /** Shared handle to the underlying buffer (keepalive for the
-     *  decoded replay path). */
-    std::shared_ptr<const TraceBuffer> share() const { return buffer_; }
 
   private:
     [[noreturn]] void exhausted() const;
@@ -129,38 +146,6 @@ sharedTrace(const WorkloadProfile &profile, uint64_t stream_id,
 /** Drop all memoized traces (tests / memory pressure). Outstanding
  *  shared_ptr handles remain valid. */
 void clearTraceRegistry();
-
-/**
- * Per-op decoded metadata sidecar for a TraceBuffer: one meta byte per
- * micro-op (see decodeMicroOp), including the *precomputed branch
- * prediction outcome*. The tournament predictor's state is a pure
- * function of the branch-op subsequence from position 0 — independent
- * of core configuration and of where the warmup/measure split falls —
- * so every prediction the core would make during replay can be made
- * once per trace and shared read-only by every configuration
- * evaluation. Immutable after
- * construction; concurrent readers need no synchronization.
- */
-class DecodedTrace
-{
-  public:
-    explicit DecodedTrace(const TraceBuffer &buffer);
-
-    const uint8_t *meta() const { return meta_.data(); }
-    uint64_t size() const { return meta_.size(); }
-
-  private:
-    std::vector<uint8_t> meta_;
-};
-
-/**
- * Memoized decode of a shared trace buffer: one DecodedTrace per live
- * TraceBuffer, built on first need. Thread-safe; the result is safe to
- * read concurrently and keeps itself valid independently of the
- * registry (callers hold shared_ptr).
- */
-std::shared_ptr<const DecodedTrace>
-decodedTrace(const std::shared_ptr<const TraceBuffer> &buffer);
 
 } // namespace xps
 

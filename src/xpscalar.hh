@@ -12,13 +12,16 @@
  * API tour:
  *  - xps::WorkloadProfile / xps::spec2000int(): statistical workload
  *    models (the SPEC2000int substitution) and their registry.
- *  - xps::SyntheticWorkload: deterministic micro-op stream generator.
+ *  - xps::SyntheticWorkload: deterministic micro-op stream generator,
+ *    and xps::sharedTrace() / xps::TraceBuffer: its stream built once
+ *    per process as a compact op trace, the simulator's only input.
  *  - xps::measureCharacteristics(): microarchitecture-independent
  *    (raw) characterization — the paper's Figure-1 axes.
  *  - xps::CoreConfig: one superscalar configuration (Tables 3/4).
  *  - xps::UnitTiming / xps::CactiLite: the access-time model and the
  *    pipeline-fitting rule that couples units through the clock.
- *  - xps::simulate(): cycle-level out-of-order timing simulation;
+ *  - xps::simulate(): cycle-level out-of-order timing simulation of
+ *    a workload's trace;
  *    xps::simulateCell(): the same through the process-wide cell
  *    memo.
  *  - xps::Explorer / xps::Annealer / xps::SearchSpace: the
@@ -66,5 +69,6 @@
 #include "workload/generator.hh"
 #include "workload/micro_op.hh"
 #include "workload/profile.hh"
+#include "workload/trace.hh"
 
 #endif // XPS_XPSCALAR_HH

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -519,6 +520,66 @@ TEST(Report, RendersSyntheticRun)
               std::string::npos);
     EXPECT_NE(report.find("attempt 1: exit 97"), std::string::npos);
     EXPECT_NE(report.find("gzip.ckpt"), std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Report, SpanCategoryTimeIsExclusiveAndSumsToOutermost)
+{
+    // explore ⊃ anneal ⊃ sim on two threads of one process, plus a
+    // top-level trace span. Summing durations would report 37.5 ms;
+    // charging each span only its own time gives rows that add up to
+    // the outermost spans' 16.5 ms.
+    const std::string dir = freshDir("exclusive");
+    std::string events;
+    auto span = [&](const char *cat, double ts, double dur, int tid) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "%s{\"name\":\"%s.span\",\"cat\":\"%s\","
+                      "\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
+                      "\"pid\":100,\"tid\":%d}",
+                      events.empty() ? "" : ",", cat, cat, ts, dur, tid);
+        events += buf;
+    };
+    span("explore", 0, 10000, 1);
+    span("anneal", 1000, 7000, 1);
+    span("sim", 2000, 3000, 1);
+    span("sim", 5000, 2000, 1); // starts where its sibling ends
+    span("sim", 8500, 1000, 1); // directly under explore
+    span("trace", 12000, 500, 1);
+    span("sim", 1000, 3000, 2); // listed before its parents
+    span("anneal", 500, 5000, 2);
+    span("explore", 0, 6000, 2);
+    writeRaw(dir + "/trace.json",
+             "{\"traceEvents\":[" + events + "]}\n");
+
+    const std::string report =
+        obs::renderReport(obs::resolveReportPaths(dir));
+    EXPECT_NE(report.find("rows sum to the outermost spans' 16.5ms"),
+              std::string::npos)
+        << report;
+    std::map<std::string, double> rowsUs;
+    std::istringstream lines(
+        report.substr(report.find("time by span category")));
+    std::string line;
+    std::getline(lines, line); // the header
+    while (std::getline(lines, line) && line.rfind("    ", 0) == 0) {
+        char cat[32], unit[8];
+        double value = 0;
+        ASSERT_EQ(std::sscanf(line.c_str(), "%31s %lf%7[a-z]", cat,
+                              &value, unit),
+                  3)
+            << line;
+        rowsUs[cat] = value * (std::string(unit) == "ms" ? 1000.0 : 1.0);
+    }
+    ASSERT_EQ(rowsUs.size(), 4u) << report;
+    EXPECT_DOUBLE_EQ(rowsUs["explore"], 2000.0 + 1000.0);
+    EXPECT_DOUBLE_EQ(rowsUs["anneal"], 2000.0 + 2000.0);
+    EXPECT_DOUBLE_EQ(rowsUs["sim"], 6000.0 + 3000.0);
+    EXPECT_DOUBLE_EQ(rowsUs["trace"], 500.0);
+    double sum = 0;
+    for (const auto &[cat, us] : rowsUs)
+        sum += us;
+    EXPECT_DOUBLE_EQ(sum, 10000.0 + 500.0 + 6000.0);
     std::filesystem::remove_all(dir);
 }
 

@@ -5,8 +5,9 @@
  * crashed on; the Table-4/5 cache manifests invalidate on profile or
  * configuration changes; PerfMatrix::build resumes per cell from a
  * partial file and discards foreign/torn ones; and a differential
- * TEST_P sweep proves streaming and traced simulation bit-identical
- * on randomized profiles.
+ * TEST_P sweep proves, on randomized profiles, that a trace is the
+ * generator's stream (ops and predictor meta) and that simulation
+ * from a caller-built trace equals simulation from the registry's.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,8 @@
 #include "util/csv.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
+#include "workload/branch_predictor.hh"
+#include "workload/generator.hh"
 #include "workload/trace.hh"
 
 using namespace xps;
@@ -455,7 +458,7 @@ TEST(PerfMatrixPartial, GarbagePartialIsDiscarded)
     EXPECT_FALSE(std::filesystem::exists(path));
 }
 
-// --- differential: streaming vs traced simulation --------------------------
+// --- differential: trace vs generator, own buffer vs registry --------------
 
 namespace
 {
@@ -499,17 +502,33 @@ class StreamingVsTraced : public testing::TestWithParam<uint64_t>
 
 TEST_P(StreamingVsTraced, BitIdenticalStats)
 {
+    // On random profiles: a trace is the generator's stream scored by
+    // a live predictor, and simulate() gives the same stats from a
+    // caller-built buffer as from the registry's.
     const WorkloadProfile profile = randomizedProfile(GetParam());
     const CoreConfig cfg = CoreConfig::initial();
-    SimOptions streaming;
-    streaming.measureInstrs = 6000;
-    streaming.warmupInstrs = 4000;
-    const SimStats a = simulate(profile, cfg, streaming);
+    SimOptions registry;
+    registry.measureInstrs = 6000;
+    registry.warmupInstrs = 4000;
+    const SimStats a = simulate(profile, cfg, registry);
 
-    SimOptions traced = streaming;
-    traced.trace =
-        sharedTrace(profile, traced.streamId, traced.traceOps());
-    const SimStats b = simulate(profile, cfg, traced);
+    SimOptions own = registry;
+    own.trace = std::make_shared<const TraceBuffer>(
+        profile, own.streamId, own.traceOps() + kTraceSlackOps);
+    const TraceBuffer &trace = *own.trace;
+    ASSERT_EQ(trace.meta().size(), trace.size());
+    SyntheticWorkload gen(profile, own.streamId);
+    BranchPredictor predictor;
+    for (uint64_t i = 0; i < trace.size(); ++i) {
+        const MicroOp &op = gen.next();
+        uint8_t meta = decodeMicroOp(op);
+        if (op.cls == OpClass::CondBranch &&
+            !predictor.predict(op.pc, op.taken))
+            meta |= kMetaMispredict;
+        ASSERT_TRUE(trace.ops()[i] == op) << "op " << i;
+        ASSERT_EQ(trace.meta()[i], meta) << "meta byte " << i;
+    }
+    const SimStats b = simulate(profile, cfg, own);
 
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);

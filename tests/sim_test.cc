@@ -13,6 +13,7 @@
 #include "sim/config.hh"
 #include "sim/ooo_core.hh"
 #include "sim/simulator.hh"
+#include "workload/branch_predictor.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 #include "workload/trace.hh"
@@ -458,7 +459,7 @@ TEST(OooCore, ClockChangesIptNotJustIpc)
     EXPECT_GT(fast_s.ipt(), slow_s.ipt());
 }
 
-// --- trace replay vs streaming generation ------------------------------------
+// --- the trace is the generator's stream --------------------------------------
 
 void
 expectSameStats(const SimStats &a, const SimStats &b)
@@ -477,22 +478,59 @@ expectSameStats(const SimStats &a, const SimStats &b)
     EXPECT_EQ(a.robOccupancySum, b.robOccupancySum);
 }
 
+/**
+ * A trace is the generator's stream scored by a live predictor: each
+ * op equals SyntheticWorkload::next(), and each meta byte equals
+ * decodeMicroOp() plus that predictor's mispredict bit.
+ */
+void
+expectTraceIsGeneratorStream(const TraceBuffer &trace,
+                             const WorkloadProfile &profile,
+                             uint64_t stream_id)
+{
+    ASSERT_EQ(trace.meta().size(), trace.size());
+    SyntheticWorkload gen(profile, stream_id);
+    BranchPredictor predictor;
+    for (uint64_t i = 0; i < trace.size(); ++i) {
+        const MicroOp &op = gen.next();
+        uint8_t meta = decodeMicroOp(op);
+        if (op.cls == OpClass::CondBranch &&
+            !predictor.predict(op.pc, op.taken))
+            meta |= kMetaMispredict;
+        ASSERT_TRUE(trace.ops()[i] == op) << "op " << i;
+        ASSERT_EQ(trace.meta()[i], meta) << "meta byte " << i;
+    }
+}
+
+/** A private buffer for `opts`, built the way sharedTrace() sizes its
+ *  own but outside the registry. */
+std::shared_ptr<const TraceBuffer>
+ownTrace(const WorkloadProfile &profile, const SimOptions &opts)
+{
+    return std::make_shared<const TraceBuffer>(
+        profile, opts.streamId, opts.traceOps() + kTraceSlackOps);
+}
+
 TEST(TraceReplay, MatchesStreamingBitIdentical)
 {
-    // The trace path must be an optimization, not a model change:
-    // every statistic matches streaming generation exactly.
+    // The core's only input is a trace, so the trace must be the
+    // generator's stream exactly, and simulate() must not depend on
+    // whose buffer it replays: a caller-built one or the registry's.
     for (const char *name : {"gcc", "mcf", "perl", "twolf"}) {
         const WorkloadProfile &profile = profileByName(name);
+        SimOptions opts;
+        opts.measureInstrs = 12000;
+        const auto own = ownTrace(profile, opts);
+        SCOPED_TRACE(name);
+        expectTraceIsGeneratorStream(*own, profile, opts.streamId);
         for (const CoreConfig &cfg :
              {CoreConfig::initial(), referenceConfig()}) {
-            SimOptions opts;
-            opts.measureInstrs = 12000;
-            const SimStats streamed = simulate(profile, cfg, opts);
-            opts.trace =
-                sharedTrace(profile, opts.streamId, opts.traceOps());
-            const SimStats traced = simulate(profile, cfg, opts);
-            SCOPED_TRACE(std::string(name) + " on " + cfg.name);
-            expectSameStats(streamed, traced);
+            SimOptions with_own = opts;
+            with_own.trace = own;
+            const SimStats from_own = simulate(profile, cfg, with_own);
+            const SimStats from_registry = simulate(profile, cfg, opts);
+            SCOPED_TRACE(cfg.name);
+            expectSameStats(from_own, from_registry);
         }
     }
 }
@@ -511,7 +549,8 @@ TEST(TraceReplayDeathTest, MismatchedTraceIsFatal)
 // Exact per-workload statistics of the whole suite on the initial
 // configuration (captured from the pre-optimization scan-based core).
 // Any scheduler or trace change that shifts timing by even one cycle
-// trips this; both evaluation paths must reproduce it.
+// trips this; a caller-built trace and the registry's must both
+// reproduce it.
 TEST(GoldenStats, SuiteOnInitialConfigIsFrozen)
 {
     struct Golden
@@ -550,13 +589,11 @@ TEST(GoldenStats, SuiteOnInitialConfigIsFrozen)
         const WorkloadProfile &profile = profileByName(g.name);
         SimOptions opts;
         opts.measureInstrs = 30000;
-        for (bool traced : {false, true}) {
-            opts.trace = traced ? sharedTrace(profile, opts.streamId,
-                                              opts.traceOps())
-                                : nullptr;
+        for (bool own : {false, true}) {
+            opts.trace = own ? ownTrace(profile, opts) : nullptr;
             const SimStats s = simulate(profile, cfg, opts);
             SCOPED_TRACE(std::string(g.name) +
-                         (traced ? " (traced)" : " (streaming)"));
+                         (own ? " (own trace)" : " (registry)"));
             EXPECT_EQ(s.instructions, g.instructions);
             EXPECT_EQ(s.cycles, g.cycles);
             EXPECT_EQ(s.loads, g.loads);

@@ -482,6 +482,16 @@ TEST(Trace, RegistryMemoizesAndGrowsMonotonically)
         ASSERT_TRUE(small->ops()[i] == big->ops()[i])
             << "prefix diverged at op " << i;
     }
+    // The grown trace is byte-identical, ops and meta, to a fresh
+    // buffer of its size: growing continues the paused generator and
+    // the paused branch predictor, so the mispredict bits after the
+    // old end still reflect every earlier branch.
+    const TraceBuffer fresh(profile, 0, big->size());
+    ASSERT_EQ(big->meta().size(), fresh.meta().size());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+        ASSERT_TRUE(big->ops()[i] == fresh.ops()[i]) << "op " << i;
+        ASSERT_EQ(big->meta()[i], fresh.meta()[i]) << "meta byte " << i;
+    }
     clearTraceRegistry();
 }
 
