@@ -19,7 +19,6 @@
 #include "sim/simulator.hh"
 #include "util/env.hh"
 #include "util/table.hh"
-#include "workload/trace.hh"
 
 using namespace xps;
 
@@ -36,8 +35,6 @@ main()
     for (size_t w = 0; w < ctx.suite.size(); ++w) {
         SimOptions opts;
         opts.measureInstrs = budget.finalInstrs;
-        opts.trace = sharedTrace(ctx.suite[w], opts.streamId,
-                                 opts.traceOps());
         const SimStats stats =
             simulate(ctx.suite[w], ctx.configs[w], opts);
         const AreaPowerEstimate est =
@@ -64,8 +61,6 @@ main()
         auto score = [&](const CoreConfig &cfg, bool power_aware) {
             SimOptions opts;
             opts.measureInstrs = budget.evalInstrs;
-            opts.trace = sharedTrace(profile, opts.streamId,
-                                     opts.traceOps());
             const SimStats stats = simulate(profile, cfg, opts);
             return power_aware ? iptPerWatt(cfg, stats)
                                : stats.ipt();
@@ -85,8 +80,6 @@ main()
 
             SimOptions opts;
             opts.measureInstrs = budget.finalInstrs;
-            opts.trace = sharedTrace(profile, opts.streamId,
-                                     opts.traceOps());
             const SimStats stats = simulate(profile, res.best, opts);
             const AreaPowerEstimate est =
                 estimateAreaPower(res.best, stats);

@@ -122,7 +122,8 @@ BM_SimulateWorkload(benchmark::State &state)
     SimOptions opts;
     opts.measureInstrs = 20000;
     opts.warmupInstrs = 20000;
-    opts.trace = sharedTrace(profile, opts.streamId, opts.traceOps());
+    // Build the registry's trace outside the timed loop.
+    sharedTrace(profile, opts.streamId, opts.traceOps());
     for (auto _ : state) {
         const SimStats stats = simulate(profile, cfg, opts);
         benchmark::DoNotOptimize(stats.cycles);
@@ -144,7 +145,7 @@ BM_AnnealerRound(benchmark::State &state)
     SearchSpace space(timing);
     SimOptions opts;
     opts.measureInstrs = 10000;
-    opts.trace = sharedTrace(profile, opts.streamId, opts.traceOps());
+    sharedTrace(profile, opts.streamId, opts.traceOps());
     AnnealParams params;
     params.iterations = 20;
     for (auto _ : state) {

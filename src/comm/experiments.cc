@@ -76,8 +76,6 @@ table4Manifest(const std::vector<WorkloadProfile> &suite)
     // Exactly the knobs that shape the exploration result. The
     // checkpoint cadence is deliberately absent: resume is
     // bit-identical, so XPS_CHECKPOINT_EVERY never stales a cache.
-    // The workload reduction appears only when set, so the default
-    // manifest (and every cache written under it) stays valid.
     const Budget &budget = Budget::get();
     CsvManifest m;
     m.set("kind", std::string("table4-configs"));
@@ -85,8 +83,6 @@ table4Manifest(const std::vector<WorkloadProfile> &suite)
     m.set("eval_instrs", budget.evalInstrs);
     m.set("sa_iters", budget.saIters);
     m.set("final_instrs", budget.finalInstrs);
-    if (budget.reduceWorkloads != 0)
-        m.set("reduce_workloads", budget.reduceWorkloads);
     m.set("profiles", profilesKey(suite));
     return m;
 }
@@ -191,7 +187,6 @@ computeContext()
         opts.threads = budget.threads;
         opts.finalEvalInstrs = budget.finalInstrs;
         opts.checkpointEvery = budget.checkpointEvery;
-        opts.reduceWorkloads = budget.reduceWorkloads;
         if (budget.supervise) {
             opts.supervised = true;
             opts.supervisorOpts = SupervisorOptions::fromEnv();

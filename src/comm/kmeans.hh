@@ -10,8 +10,7 @@
  * linear depths/widths), and the ablation bench exercises it.
  *
  * The generic clustering machinery (kMeans, kMeansRepresentatives)
- * lives in util/kmeans.hh so the Explorer's workload-reduction mode
- * can share it without a comm <-> explore dependency cycle.
+ * lives in util/kmeans.hh.
  */
 
 #ifndef XPS_COMM_KMEANS_HH

@@ -250,16 +250,14 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
                   partialPath.c_str());
     }
 
-    // One immutable trace per workload, generated up front and shared
-    // read-only by every worker: row w's n evaluations replay the same
-    // buffer instead of regenerating the stream n times.
+    // One immutable trace per workload, generated up front in the
+    // registry and shared read-only by every worker: row w's n
+    // evaluations replay the same buffer instead of regenerating the
+    // stream n times.
     SimOptions proto;
     proto.measureInstrs = instrs;
-    std::vector<std::shared_ptr<const TraceBuffer>> traces;
-    traces.reserve(n);
     for (const auto &p : suite)
-        traces.push_back(sharedTrace(p, proto.streamId,
-                                     proto.traceOps()));
+        sharedTrace(p, proto.streamId, proto.traceOps());
 
     std::atomic<size_t> next{0};
     auto worker = [&]() {
@@ -269,9 +267,7 @@ PerfMatrix::build(const std::vector<WorkloadProfile> &suite,
             const size_t c = idx % n;
             if (have[w][c])
                 continue;
-            SimOptions opts = proto;
-            opts.trace = traces[w];
-            ipt[w][c] = simulateCell(suite[w], configs[c], opts).ipt();
+            ipt[w][c] = simulateCell(suite[w], configs[c], proto).ipt();
             metrics.counter("perf_matrix.cells_computed").add();
             if (partial) {
                 // One line per cell, serialized and flushed: a crash
@@ -323,16 +319,13 @@ PerfMatrix::buildSupervised(const std::vector<WorkloadProfile> &suite,
         n, std::vector<double>(
                n, std::numeric_limits<double>::quiet_NaN()));
 
-    // Traces are materialized before the forks, so every worker
-    // inherits the shared read-only buffers instead of regenerating
-    // its stream per attempt.
+    // Traces are materialized in the registry before the forks, so
+    // every worker inherits the shared read-only buffers instead of
+    // regenerating its stream per attempt.
     SimOptions proto;
     proto.measureInstrs = instrs;
-    std::vector<std::shared_ptr<const TraceBuffer>> traces;
-    traces.reserve(n);
     for (const auto &p : suite)
-        traces.push_back(sharedTrace(p, proto.streamId,
-                                     proto.traceOps()));
+        sharedTrace(p, proto.streamId, proto.traceOps());
 
     std::vector<ProcJob> jobs;
     jobs.reserve(n);
@@ -345,9 +338,7 @@ PerfMatrix::buildSupervised(const std::vector<WorkloadProfile> &suite,
             std::vector<double> row(n, 0.0);
             for (size_t c = 0; c < n; ++c) {
                 ProcPool::beat(); // per-cell liveness
-                SimOptions opts = proto;
-                opts.trace = traces[w];
-                row[c] = simulate(suite[w], configs[c], opts).ipt();
+                row[c] = simulate(suite[w], configs[c], proto).ipt();
             }
             atomicWriteFile(row_path,
                             serializeMatrixRow(w, row, identity),

@@ -16,11 +16,9 @@
 #include "sim/cells.hh"
 #include "util/atomic_file.hh"
 #include "util/env.hh"
-#include "util/kmeans.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/shutdown.hh"
-#include "workload/characteristics.hh"
 #include "workload/trace.hh"
 
 namespace xps
@@ -46,11 +44,10 @@ archKey(const CoreConfig &cfg)
 /** The options of one explorer evaluation: `instrs` measured after
  *  the default warmup, on stream 0. */
 SimOptions
-evalOptions(uint64_t instrs, std::shared_ptr<const TraceBuffer> trace)
+evalOptions(uint64_t instrs)
 {
     SimOptions opts;
     opts.measureInstrs = instrs;
-    opts.trace = std::move(trace);
     return opts;
 }
 
@@ -95,30 +92,9 @@ Explorer::Explorer(std::vector<WorkloadProfile> suite,
 
 double
 Explorer::evaluate(const WorkloadProfile &profile,
-                   const CoreConfig &config, uint64_t instrs,
-                   std::shared_ptr<const TraceBuffer> trace)
+                   const CoreConfig &config, uint64_t instrs)
 {
-    return simulate(profile, config,
-                    evalOptions(instrs, std::move(trace))).ipt();
-}
-
-std::vector<size_t>
-Explorer::reduceWorkloads(const std::vector<WorkloadProfile> &suite,
-                         size_t k)
-{
-    if (k == 0 || k > suite.size())
-        fatal("reduceWorkloads: k=%zu out of range for %zu workloads",
-              k, suite.size());
-    std::vector<std::vector<double>> points;
-    points.reserve(suite.size());
-    for (const auto &profile : suite)
-        points.push_back(
-            measureCharacteristics(profile).featureVector());
-    // The seed is pinned (not derived from the exploration seed):
-    // the workload -> representative mapping must be identical for
-    // any run over the same suite, or resumed and fresh runs would
-    // anneal different subsets.
-    return kMeansRepresentatives(points, k, kWorkloadClusterSeed);
+    return simulate(profile, config, evalOptions(instrs)).ipt();
 }
 
 CsvManifest
@@ -131,10 +107,6 @@ Explorer::checkpointIdentity() const
     m.set("rounds", static_cast<uint64_t>(opts_.rounds));
     m.set("seed", opts_.seed);
     m.set("final_eval_instrs", opts_.finalEvalInstrs);
-    // The workload-reduction mapping changes which workloads anneal
-    // at all, so reduced and full runs must not resume each other's
-    // checkpoints.
-    m.set("xps_reduce_workloads", opts_.reduceWorkloads);
     m.set("adoption_margin", formatHexDouble(opts_.adoptionMargin));
     m.set("gross_adoption_margin",
           formatHexDouble(opts_.grossAdoptionMargin));
@@ -177,8 +149,7 @@ Explorer::suiteCheckpointPath() const
 SuiteWorkloadState
 Explorer::annealWorkloadRound(
     size_t w, int round, const SuiteWorkloadState &in,
-    const CsvManifest &identity, uint64_t itersPerRound,
-    const std::shared_ptr<const TraceBuffer> &trace) const
+    const CsvManifest &identity, uint64_t itersPerRound) const
 {
     const bool ckpt = opts_.checkpointEvery > 0;
     Metrics &metrics = Metrics::global();
@@ -199,8 +170,7 @@ Explorer::annealWorkloadRound(
         const auto it = memo.find(key);
         if (it != memo.end())
             return it->second;
-        const double ipt = evaluate(suite_[w], cfg, opts_.evalInstrs,
-                                    trace);
+        const double ipt = evaluate(suite_[w], cfg, opts_.evalInstrs);
         ++evals;
         memo.emplace(key, ipt);
         return ipt;
@@ -319,34 +289,6 @@ Explorer::exploreAll()
         e.store(0);
     std::vector<uint64_t> adoptions(n, 0);
 
-    // reduceWorkloads = K: anneal only the K cluster
-    // representatives of the suite's workload characteristics;
-    // rep[w] == w marks a representative. Every workload — including
-    // the skipped ones, on their representative's configuration —
-    // is still validated at full fidelity in the final phase below.
-    std::vector<size_t> rep(n);
-    for (size_t w = 0; w < n; ++w)
-        rep[w] = w;
-    const uint64_t reduce_k = opts_.reduceWorkloads;
-    if (reduce_k > 0 && reduce_k < n) {
-        obs::ScopedSpan reduce_span("explore.reduce", "explore", [&] {
-            return obs::Args()
-                .add("workloads", static_cast<uint64_t>(n))
-                .add("clusters", reduce_k);
-        });
-        rep = reduceWorkloads(suite_,
-                              static_cast<size_t>(reduce_k));
-        size_t skipped = 0;
-        for (size_t w = 0; w < n; ++w) {
-            if (rep[w] != w)
-                ++skipped;
-        }
-        metrics.counter("explore.workloads_reduced").add(skipped);
-        inform("workload reduction: annealing %zu of %zu workloads "
-               "(%llu clusters)", n - skipped, n,
-               static_cast<unsigned long long>(reduce_k));
-    }
-
     const uint64_t iters_per_round =
         std::max<uint64_t>(1, opts_.saIters /
                               static_cast<uint64_t>(opts_.rounds));
@@ -421,14 +363,6 @@ Explorer::exploreAll()
             opts_.checkpointWrittenHook(suiteCheckpointPath());
     };
 
-    // Materialize each workload's stream once; the annealing inner
-    // loop then replays the shared buffer for every candidate
-    // configuration instead of regenerating it per evaluation.
-    // (Evaluations run with the default warmup: measure + warmup =
-    // 2 * evalInstrs ops.) Deferred until annealing actually runs so
-    // a resume straight into the final phase skips the cost.
-    std::vector<std::shared_ptr<const TraceBuffer>> traces(n);
-
     auto cached_eval = [&](size_t w, const CoreConfig &cfg) {
         auto &m = memo[w];
         const std::string key = archKey(cfg);
@@ -436,26 +370,22 @@ Explorer::exploreAll()
         if (it != m.end())
             return it->second;
         const double ipt =
-            simulateCell(suite_[w], cfg,
-                         evalOptions(opts_.evalInstrs, traces[w]))
+            simulateCell(suite_[w], cfg, evalOptions(opts_.evalInstrs))
                 .ipt();
         evals[w].fetch_add(1, std::memory_order_relaxed);
         m.emplace(key, ipt);
         return ipt;
     };
 
-    const bool anneal_rounds_remain =
-        phase == SuiteCheckpoint::Phase::Anneal &&
-        start_round < opts_.rounds;
-    if (anneal_rounds_remain) {
-        for (size_t w = 0; w < n; ++w) {
-            if (rep[w] == w)
-                traces[w] =
-                    sharedTrace(suite_[w], 0, 2 * opts_.evalInstrs);
-        }
-    }
-
-    if (anneal_rounds_remain) {
+    if (phase == SuiteCheckpoint::Phase::Anneal &&
+        start_round < opts_.rounds) {
+        // Materialize each workload's stream once, before any worker
+        // starts (or forks): every evaluation then replays the
+        // registry's buffer (measure + default warmup = 2 * evalInstrs
+        // ops) instead of regenerating it. Skipped by a resume
+        // straight into the final phase.
+        for (size_t w = 0; w < n; ++w)
+            sharedTrace(suite_[w], 0, 2 * opts_.evalInstrs);
         ScopedTimer timer("explore.anneal_seconds");
         std::unique_ptr<Supervisor> sup;
         if (opts_.supervised)
@@ -492,14 +422,11 @@ Explorer::exploreAll()
                 auto worker = [&]() {
                     for (size_t w = next.fetch_add(1); w < n;
                          w = next.fetch_add(1)) {
-                        if (rep[w] != w)
-                            continue; // reduced away: rep anneals
                         const SuiteWorkloadState out =
                             annealWorkloadRound(w, round,
                                                 snapshotState(w),
                                                 identity,
-                                                iters_per_round,
-                                                traces[w]);
+                                                iters_per_round);
                         installState(w, out);
                         const size_t done = done_count.fetch_add(1) + 1;
                         verbose("explore[%s] round %d: best IPT %.3f "
@@ -534,22 +461,21 @@ Explorer::exploreAll()
                 std::vector<ProcJob> jobs;
                 std::vector<size_t> job_workload;
                 for (size_t w = 0; w < n; ++w) {
-                    if (frozen[w] || rep[w] != w)
+                    if (frozen[w])
                         continue;
                     ProcJob job;
                     job.name = suite_[w].name + ".round" +
                                std::to_string(round);
                     const std::string result_path =
                         sup->stagingPath(job.name + ".result");
-                    const auto trace = traces[w];
                     job.run = [this, w, round, identity,
-                               iters_per_round, trace, result_path,
+                               iters_per_round, result_path,
                                &snapshotState]() {
                         const SuiteWorkloadState out =
                             annealWorkloadRound(w, round,
                                                 snapshotState(w),
                                                 identity,
-                                                iters_per_round, trace);
+                                                iters_per_round);
                         SuiteCheckpoint sc;
                         sc.round = round;
                         sc.workloads.push_back(out);
@@ -612,30 +538,21 @@ Explorer::exploreAll()
                 // Every config the serial loop below can offer a
                 // workload is one of the incumbents it starts from:
                 // simulate the ones memo[w] lacks in parallel first.
-                std::vector<CoreConfig> incumbents;
-                for (size_t w = 0; w < n; ++w) {
-                    if (rep[w] == w)
-                        incumbents.push_back(current[w]);
-                }
-                incumbents = distinctArchs(incumbents);
+                const std::vector<CoreConfig> incumbents =
+                    distinctArchs(current);
                 std::vector<Cell> cells;
                 for (size_t w = 0; w < n; ++w) {
-                    if (rep[w] != w)
-                        continue;
                     for (const CoreConfig &cfg : incumbents) {
                         if (!memo[w].count(archKey(cfg)))
                             cells.push_back(
                                 {suite_[w], cfg,
-                                 evalOptions(opts_.evalInstrs,
-                                             traces[w])});
+                                 evalOptions(opts_.evalInstrs)});
                     }
                 }
                 prefetchCells(cells, opts_.threads);
                 for (size_t w = 0; w < n; ++w) {
-                    if (rep[w] != w)
-                        continue; // non-reps inherit after the rounds
                     for (size_t other = 0; other < n; ++other) {
-                        if (other == w || rep[other] != other)
+                        if (other == w)
                             continue;
                         if (current[other].sameArch(current[w]))
                             continue;
@@ -660,19 +577,6 @@ Explorer::exploreAll()
                                 });
                         }
                     }
-                }
-            }
-            // After the last round, hand every reduced-away workload
-            // its representative's configuration — the final phase
-            // below then validates *all* workloads on their
-            // configurations at full fidelity (and gross adoption can
-            // still override a bad cluster assignment). Done before
-            // the barrier write so a resume straight into the final
-            // phase sees the propagated configurations.
-            if (round == opts_.rounds - 1) {
-                for (size_t w = 0; w < n; ++w) {
-                    if (rep[w] != w)
-                        current[w] = current[rep[w]];
                 }
             }
             // Round barrier: commit the post-adoption suite state in
@@ -710,26 +614,20 @@ Explorer::exploreAll()
     // The serial scoring and gross-adoption loops below only ever
     // offer a workload one of the configs they start from: simulate
     // those cells in parallel first, growing each final-length trace
-    // on the pool, and let the loops read the memo. The registry
-    // grows a trace by copying it, so the annealing-length buffers
-    // are dropped first, or all of them would outlive the growth.
-    traces.assign(n, nullptr);
+    // on the pool, and let the loops read the memo.
     {
         const std::vector<CoreConfig> finalists = distinctArchs(current);
         std::vector<Cell> cells;
         for (size_t w = have_final_ipt ? adopt_index : 0; w < n; ++w) {
             for (const CoreConfig &cfg : finalists)
                 cells.push_back(
-                    {suite_[w], cfg, evalOptions(score_instrs, nullptr)});
+                    {suite_[w], cfg, evalOptions(score_instrs)});
         }
         prefetchCells(cells, opts_.threads);
     }
-    for (size_t w = 0; w < n; ++w)
-        traces[w] = sharedTrace(suite_[w], 0, 2 * score_instrs);
     auto score = [&](size_t w, const CoreConfig &cfg) {
         evals[w].fetch_add(1, std::memory_order_relaxed);
-        return simulateCell(suite_[w], cfg,
-                            evalOptions(score_instrs, traces[w]))
+        return simulateCell(suite_[w], cfg, evalOptions(score_instrs))
             .ipt();
     };
     if (!have_final_ipt) {

@@ -61,11 +61,6 @@ struct ExplorerOptions
      *  only to gross violations so diversity is preserved). */
     double grossAdoptionMargin = 0.08;
 
-    /** Anneal only this many cluster representatives of the suite
-     *  (reduceWorkloads()); 0 anneals every workload. Set from
-     *  XPS_REDUCE_WORKLOADS in the cached experiment pipeline. */
-    uint64_t reduceWorkloads = 0;
-
     /** Annealing iterations between checkpoint writes; 0 disables
      *  checkpointing entirely (the default — the cached experiment
      *  pipeline turns it on from XPS_CHECKPOINT_EVERY). */
@@ -114,27 +109,11 @@ class Explorer
     std::vector<WorkloadResult> exploreAll();
 
     /** Evaluate one workload on one configuration (IPT), replaying
-     *  `trace`, or the registry's trace for the workload when null
-     *  (identical result). */
+     *  the registry's trace for the workload. */
     static double evaluate(const WorkloadProfile &profile,
-                           const CoreConfig &config, uint64_t instrs,
-                           std::shared_ptr<const TraceBuffer> trace =
-                               nullptr);
+                           const CoreConfig &config, uint64_t instrs);
 
     const SearchSpace &space() const { return space_; }
-
-    /**
-     * The ExplorerOptions::reduceWorkloads = K mapping: cluster the suite's
-     * workload characteristics into K groups (fixed seed
-     * kWorkloadClusterSeed, so the mapping is stable run to run) and
-     * return, for each workload, the index of its cluster's
-     * representative. exploreAll() then anneals only representatives
-     * and validates every workload — including the skipped ones, on
-     * their representative's configuration — at full fidelity in the
-     * final phase.
-     */
-    static std::vector<size_t> reduceWorkloads(
-        const std::vector<WorkloadProfile> &suite, size_t k);
 
     /** The identity manifest embedded in this exploration's
      *  checkpoints (budget, seeds, profile fingerprints, bounds). */
@@ -158,8 +137,7 @@ class Explorer
      *  thread or inside a forked worker process. */
     SuiteWorkloadState annealWorkloadRound(
         size_t w, int round, const SuiteWorkloadState &in,
-        const CsvManifest &identity, uint64_t itersPerRound,
-        const std::shared_ptr<const TraceBuffer> &trace) const;
+        const CsvManifest &identity, uint64_t itersPerRound) const;
 
     std::vector<WorkloadProfile> suite_;
     ExplorerOptions opts_;

@@ -200,8 +200,43 @@ struct WorkloadConvergence
     uint64_t rejects = 0;
     uint64_t rollbacks = 0;
     double bestObj = 0.0;
-    uint64_t bestStep = 0;
+    int64_t bestRound = -1; ///< -1: no enclosing explore.round span
+    uint64_t bestStep = 0;  ///< iteration within bestRound
 };
+
+/** A (pid, tid) timeline. */
+using ThreadKey = std::pair<int, uint64_t>;
+
+/** One anneal.* instant, in µs. */
+struct AnnealInstant
+{
+    ThreadKey thread;
+    double ts;
+    std::string name;
+    const json::Value *args;
+};
+
+/** One explore.round span, in µs: the round its thread annealed. */
+struct RoundSpan
+{
+    double ts;
+    double dur;
+    int64_t round;
+};
+
+/** The round of the explore.round span enclosing `ts` in `rounds`
+ *  (sorted by start; rounds on one thread do not nest), or -1. */
+int64_t
+enclosingRound(const std::vector<RoundSpan> &rounds, double ts)
+{
+    auto it = std::upper_bound(
+        rounds.begin(), rounds.end(), ts,
+        [](double t, const RoundSpan &r) { return t < r.ts; });
+    if (it == rounds.begin())
+        return -1;
+    --it;
+    return ts <= it->ts + it->dur ? it->round : -1;
+}
 
 /** One complete ("X") span on a thread's timeline, in µs. */
 struct TimedSpan
@@ -266,46 +301,72 @@ renderTrace(std::ostringstream &out, const ReportPaths &paths)
 
     const json::Value &events = *trace.find("traceEvents");
     std::set<int> pids;
-    std::map<std::pair<int, uint64_t>, std::vector<TimedSpan>> threads;
-    std::map<std::string, WorkloadConvergence> workloads;
+    std::map<ThreadKey, std::vector<TimedSpan>> threads;
+    std::map<ThreadKey, std::vector<RoundSpan>> rounds;
+    std::vector<AnnealInstant> anneals;
     size_t spans = 0, instants = 0;
     for (const json::Value &ev : events.items) {
         if (!ev.isObject())
             continue;
         const int pid = static_cast<int>(ev.numberOr("pid", 0));
         pids.insert(pid);
+        const ThreadKey thread{
+            pid, static_cast<uint64_t>(ev.numberOr("tid", 0))};
         const std::string ph = ev.stringOr("ph", "");
+        const std::string name = ev.stringOr("name", "");
+        const json::Value *args = ev.find("args");
         if (ph == "X") {
             ++spans;
-            threads[{pid, static_cast<uint64_t>(ev.numberOr("tid", 0))}]
-                .push_back(TimedSpan{ev.numberOr("ts", 0.0),
-                                     ev.numberOr("dur", 0.0),
-                                     ev.stringOr("cat", "?")});
+            const double ts = ev.numberOr("ts", 0.0);
+            const double dur = ev.numberOr("dur", 0.0);
+            threads[thread].push_back(
+                TimedSpan{ts, dur, ev.stringOr("cat", "?")});
+            if (name == "explore.round" && args)
+                rounds[thread].push_back(RoundSpan{
+                    ts, dur,
+                    static_cast<int64_t>(args->numberOr("round", -1))});
         } else if (ph == "i") {
             ++instants;
-            const std::string name = ev.stringOr("name", "");
-            if (name.rfind("anneal.", 0) != 0)
-                continue;
-            const json::Value *args = ev.find("args");
-            if (!args)
-                continue;
-            WorkloadConvergence &w =
-                workloads[args->stringOr("workload", "?")];
-            const double obj = args->numberOr("obj", 0.0);
-            const uint64_t step = static_cast<uint64_t>(
-                args->numberOr("step", 0.0));
-            if (name == "anneal.accept")
-                ++w.accepts;
-            else if (name == "anneal.reject")
-                ++w.rejects;
-            else if (name == "anneal.rollback")
-                ++w.rollbacks;
-            if ((name == "anneal.accept" ||
-                 name == "anneal.improve") &&
-                obj > w.bestObj) {
-                w.bestObj = obj;
-                w.bestStep = step;
-            }
+            if (name.rfind("anneal.", 0) == 0 && args)
+                anneals.push_back(AnnealInstant{
+                    thread, ev.numberOr("ts", 0.0), name, args});
+        }
+    }
+
+    // Each anneal.* instant's step counts iterations within a round:
+    // its round is the explore.round span enclosing it on its thread.
+    // In time order, the first instant to reach a workload's best
+    // objective names where the best was found.
+    for (auto &[thread, list] : rounds)
+        std::sort(list.begin(), list.end(),
+                  [](const RoundSpan &a, const RoundSpan &b) {
+                      return a.ts < b.ts;
+                  });
+    std::stable_sort(anneals.begin(), anneals.end(),
+                     [](const AnnealInstant &a, const AnnealInstant &b) {
+                         return a.ts < b.ts;
+                     });
+    std::map<std::string, WorkloadConvergence> workloads;
+    for (const AnnealInstant &inst : anneals) {
+        WorkloadConvergence &w =
+            workloads[inst.args->stringOr("workload", "?")];
+        const double obj = inst.args->numberOr("obj", 0.0);
+        if (inst.name == "anneal.accept")
+            ++w.accepts;
+        else if (inst.name == "anneal.reject")
+            ++w.rejects;
+        else if (inst.name == "anneal.rollback")
+            ++w.rollbacks;
+        if ((inst.name == "anneal.accept" ||
+             inst.name == "anneal.improve") &&
+            obj > w.bestObj) {
+            w.bestObj = obj;
+            const auto it = rounds.find(inst.thread);
+            w.bestRound = it == rounds.end()
+                              ? -1
+                              : enclosingRound(it->second, inst.ts);
+            w.bestStep = static_cast<uint64_t>(
+                inst.args->numberOr("step", 0.0));
         }
     }
 
@@ -341,20 +402,27 @@ renderTrace(std::ostringstream &out, const ReportPaths &paths)
         out << "  anneal convergence by workload:\n";
         char row[160];
         std::snprintf(row, sizeof(row),
-                      "    %-14s %8s %8s %9s %12s %8s\n", "workload",
+                      "    %-14s %8s %8s %9s %12s %10s\n", "workload",
                       "accepts", "rejects", "rollbacks", "best obj",
-                      "@step");
+                      "round:step");
         out << row;
         for (const auto &[name, w] : workloads) {
+            char at[48];
+            if (w.bestRound >= 0)
+                std::snprintf(at, sizeof(at), "%lld:%llu",
+                              static_cast<long long>(w.bestRound),
+                              static_cast<unsigned long long>(w.bestStep));
+            else
+                std::snprintf(at, sizeof(at), "?:%llu",
+                              static_cast<unsigned long long>(w.bestStep));
             std::snprintf(
                 row, sizeof(row),
-                "    %-14s %8llu %8llu %9llu %12.4f %8llu\n",
+                "    %-14s %8llu %8llu %9llu %12.4f %10s\n",
                 name.c_str(),
                 static_cast<unsigned long long>(w.accepts),
                 static_cast<unsigned long long>(w.rejects),
                 static_cast<unsigned long long>(w.rollbacks),
-                w.bestObj,
-                static_cast<unsigned long long>(w.bestStep));
+                w.bestObj, at);
             out << row;
         }
     }

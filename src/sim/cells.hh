@@ -30,8 +30,8 @@ namespace xps
 /**
  * simulate(profile, config, opts) through the memo. The key is
  * (profileFingerprint, configFingerprint, measureInstrs,
- * effectiveWarmup(), streamId); the trace is not part of it, because
- * simulate() does not depend on it. A hit must also match the
+ * effectiveWarmup(), streamId), which also selects the registry
+ * trace simulate() replays. A hit must also match the
  * workload name and sameArch(), so a fingerprint collision is
  * simulated rather than answered from the wrong cell. Concurrent
  * requests for one cell simulate it once. Runs with a checker,

@@ -61,21 +61,11 @@ simulate(const WorkloadProfile &profile, const CoreConfig &config,
             config, /*fail_fast=*/true);
         core.setChecker(owned.get());
     }
-    std::shared_ptr<const TraceBuffer> trace = opts.trace;
-    if (!trace)
-        trace = sharedTrace(profile, opts.streamId, opts.traceOps());
-    if (trace->fingerprint() != profileFingerprint(profile) ||
-        trace->streamId() != opts.streamId) {
-        fatal("simulate: trace '%s' (stream %llu) does not match "
-              "workload '%s' (stream %llu)",
-              trace->profileName().c_str(),
-              static_cast<unsigned long long>(trace->streamId()),
-              profile.name.c_str(),
-              static_cast<unsigned long long>(opts.streamId));
-    }
+    std::shared_ptr<const TraceBuffer> trace =
+        sharedTrace(profile, opts.streamId, opts.traceOps());
     if (trace->size() < opts.traceOps()) {
         fatal("simulate: trace '%s' holds %llu ops, run needs "
-              ">= %llu (request a longer sharedTrace())",
+              ">= %llu",
               trace->profileName().c_str(),
               static_cast<unsigned long long>(trace->size()),
               static_cast<unsigned long long>(opts.traceOps()));

@@ -9,7 +9,6 @@
 #define XPS_SIM_SIMULATOR_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/config.hh"
 #include "sim/sim_stats.hh"
@@ -18,7 +17,6 @@
 namespace xps
 {
 
-class TraceBuffer;
 class InvariantChecker;
 
 /** Options for one simulation run. */
@@ -31,15 +29,6 @@ struct SimOptions
     uint64_t warmupInstrs = UINT64_MAX; ///< UINT64_MAX = measure
     /** Decorrelates the workload stream across runs. */
     uint64_t streamId = 0;
-    /**
-     * The trace to replay (see workload/trace.hh). When null,
-     * simulate() takes sharedTrace(profile, streamId, traceOps()) —
-     * the registry's buffer, generated once per process and shared.
-     * A caller-supplied buffer must match (profile, streamId) and hold
-     * at least measure + warmup ops (sharedTrace() sizes it with
-     * slack); results do not depend on which buffer is used.
-     */
-    std::shared_ptr<const TraceBuffer> trace;
 
     /**
      * Structural invariant checking (src/check, DESIGN.md §8).
@@ -70,11 +59,12 @@ struct SimOptions
 };
 
 /**
- * Simulate `profile` on `config` by replaying its trace on one
- * OooCore. Deterministic for fixed arguments, and independent of
- * whether `opts.trace` is set. The configuration is validated against
- * the default technology's timing model (fatal if any unit does not
- * fit its stage budget).
+ * Simulate `profile` on `config` by replaying the registry's trace,
+ * sharedTrace(profile, opts.streamId, opts.traceOps()), on one
+ * OooCore: the buffer is generated once per process and shared by
+ * every run of the workload. Deterministic for fixed arguments. The
+ * configuration is validated against the default technology's timing
+ * model (fatal if any unit does not fit its stage budget).
  */
 SimStats simulate(const WorkloadProfile &profile,
                   const CoreConfig &config,

@@ -139,7 +139,6 @@ Budget::get()
         b.threads = resolveThreads();
         b.checkpointEvery = envUInt("XPS_CHECKPOINT_EVERY", 64);
         b.supervise = envUInt("XPS_SUPERVISE", 0) != 0;
-        b.reduceWorkloads = envUInt("XPS_REDUCE_WORKLOADS", 0);
         return b;
     }();
     return budget;

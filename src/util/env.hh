@@ -16,15 +16,6 @@
  *   XPS_SUPERVISE        1 = run annealing jobs and PerfMatrix rows
  *                        in a supervised process-isolated worker pool
  *                        (util/procpool.hh) instead of raw threads
- *   XPS_REDUCE_WORKLOADS K = anneal only the representatives of K
- *                        workload clusters (util/kmeans.hh); 0
- *                        (default) explores every workload. Part of
- *                        the checkpoint identity
- *
- * XPS_REDUCE_WORKLOADS reaches the Explorer only through the cached
- * experiment pipeline (experimentContext() copies it into
- * ExplorerOptions). Hand-built ExplorerOptions and the serve daemon's
- * explore jobs ignore it.
  *
  * The README's knob table is the one list of every XPS_* variable the
  * library and tools read, with defaults; util_test checks it against
@@ -79,9 +70,6 @@ struct Budget
     /** Run exploration and matrix builds on the supervised
      *  process-isolated worker pool (XPS_SUPERVISE). */
     bool supervise;
-    /** Cluster representatives to anneal; 0 = every workload
-     *  (XPS_REDUCE_WORKLOADS). */
-    uint64_t reduceWorkloads;
 
     /** Resolve from the environment (with defaults from DESIGN.md). */
     static const Budget &get();

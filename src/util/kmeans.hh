@@ -8,9 +8,7 @@
  *
  * Domain-specific embeddings live with their domains: comm/kmeans.hh
  * clusters *configuration* vectors (the Lee & Brooks compromise
- * baseline), while the Explorer's XPS_REDUCE_WORKLOADS mode clusters
- * *workload characteristics* (workload/characteristics.hh) through
- * kMeansRepresentatives() below.
+ * baseline) through kMeansRepresentatives() below.
  */
 
 #ifndef XPS_UTIL_KMEANS_HH
@@ -38,14 +36,6 @@ struct KMeansResult
  */
 KMeansResult kMeans(const std::vector<std::vector<double>> &points,
                     size_t k, Rng &rng, int iterations = 64);
-
-/**
- * The fixed default seed of the workload-reduction clustering
- * (XPS_REDUCE_WORKLOADS). Pinned — and regression-tested against the
- * golden workload suite — so which workloads the Explorer anneals is
- * reproducible across runs, builds, and platforms.
- */
-constexpr uint64_t kWorkloadClusterSeed = 0x5eedc0de;
 
 /**
  * Cluster `points` into k groups (columns normalized to 0..1 over the

@@ -8,7 +8,8 @@
  *
  * Axes (paper Figure 1):
  *   A  working-set size        distinct 64B lines touched (log2)
- *   B  branch predictability   accuracy of a reference gshare
+ *   B  branch predictability   accuracy of the reference tournament
+ *                              predictor (workload/branch_predictor.hh)
  *   C  dependence density      1 / mean producer distance
  *   D  frequency of loads
  *   E  frequency of cond. branches
@@ -32,7 +33,7 @@ struct Characteristics
 {
     std::string name;          ///< workload name
     double workingSetLog2 = 0; ///< log2(distinct 64B lines)
-    double branchPredictability = 0; ///< reference-gshare accuracy
+    double branchPredictability = 0; ///< reference-predictor accuracy
     double depChainDensity = 0;      ///< 1 / mean producer distance
     double loadFrequency = 0;
     double storeFrequency = 0;

@@ -24,7 +24,7 @@
  *    longer run asks for more ops (existing handles stay valid — the
  *    registry swaps in a longer buffer instead of mutating). Each
  *    entry keeps its generator and branch predictor paused at the
- *    buffer's end, so a grown trace equals a fresh one of its size,
+ *    buffer's end, so a grown buffer equals a fresh one of its size,
  *    op for op and meta byte for meta byte.
  */
 

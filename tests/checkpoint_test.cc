@@ -548,9 +548,9 @@ TEST(ExplorerCheckpoint, CheckpointFromWiderFrontierIsNotResumed)
 {
     // Explorers once had a multiple-try walk whose frontier width
     // joined the identity as `xps_batch`, ahead of
-    // `xps_reduce_workloads`. A checkpoint such a walk left behind
-    // with width 8 must not be resumed: the run starts fresh and
-    // still matches its own golden result.
+    // `adoption_margin`. A checkpoint such a walk left behind with
+    // width 8 must not be resumed: the run starts fresh and still
+    // matches its own golden result.
     const std::string dir = freshDir("wide_frontier");
     EXPECT_EXIT(exploreAndKill(dir, 5, 1), testing::ExitedWithCode(42),
                 "");
@@ -558,7 +558,7 @@ TEST(ExplorerCheckpoint, CheckpointFromWiderFrontierIsNotResumed)
         Explorer(miniSuite(), miniOpts(5)).checkpointIdentity();
     CsvManifest wide;
     for (const auto &[key, value] : identity.entries) {
-        if (key == "xps_reduce_workloads")
+        if (key == "adoption_margin")
             wide.set("xps_batch", uint64_t{8});
         wide.set(key, value);
     }

@@ -4,20 +4,16 @@
  * produce legal configurations, the annealer improves analytic
  * objectives and honours the paper's rollback rule, the explorer
  * produces customized configurations end to end on a small budget,
- * and workload reduction (ExplorerOptions::reduceWorkloads) is pinned,
- * propagates representatives and kill/resumes bit-identically, and
- * the thread count changes neither results nor checkpoint bytes.
+ * and the thread count changes neither results nor checkpoint bytes.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -304,22 +300,7 @@ TEST(ExplorerDeathTest, RejectsEmptySuite)
                 testing::ExitedWithCode(1), "empty");
 }
 
-TEST(Explorer, CheckpointIdentityCoversSpeedKnobs)
-{
-    // A reduced run anneals a different set of workloads, so it may
-    // not resume a default run's checkpoints, nor the reverse.
-    const std::vector<WorkloadProfile> suite{profileByName("gzip"),
-                                             profileByName("mcf")};
-    const ExplorerOptions base;
-    ExplorerOptions reduced = base;
-    reduced.reduceWorkloads = 1;
-    const CsvManifest id = Explorer(suite, base).checkpointIdentity();
-    const CsvManifest id_reduced =
-        Explorer(suite, reduced).checkpointIdentity();
-    EXPECT_NE(id_reduced.entries, id.entries);
-}
-
-// --- workload reduction ----------------------------------------------------
+// --- thread count ----------------------------------------------------------
 
 namespace
 {
@@ -335,12 +316,6 @@ miniOpts(uint64_t seed)
     opts.seed = seed;
     opts.finalEvalInstrs = 8000;
     return opts;
-}
-
-std::vector<WorkloadProfile>
-miniSuite()
-{
-    return {profileByName("gzip"), profileByName("mcf")};
 }
 
 std::string
@@ -369,95 +344,7 @@ expectResultsIdentical(const std::vector<WorkloadResult> &a,
     }
 }
 
-/** Death-test body: explore with checkpointing and _exit(42) at the
- *  Nth checkpoint write — no cleanup, no flush, exactly like a
- *  SIGKILL at that instant. */
-[[noreturn]] void
-exploreAndKill(ExplorerOptions opts, const std::string &dir,
-               int kill_after)
-{
-    opts.checkpointEvery = 4;
-    opts.checkpointDir = dir;
-    auto writes = std::make_shared<std::atomic<int>>(0);
-    opts.checkpointWrittenHook =
-        [writes, kill_after](const std::string &) {
-            if (writes->fetch_add(1) + 1 >= kill_after)
-                ::_exit(42);
-        };
-    Explorer(miniSuite(), opts).exploreAll();
-    ::_exit(0); // unreachable for the kill points we sweep
-}
-
 } // namespace
-
-TEST(ReduceWorkloads, RepresentativesArePinnedForGoldenSuite)
-{
-    // The kmeans seed is pinned (kWorkloadClusterSeed), so the
-    // workload -> representative map over the 11 golden workloads is
-    // a platform-independent constant. A change here means the
-    // clustering (or the characterization it embeds) moved: that
-    // must be a deliberate, reviewed event, because it changes which
-    // workloads every reduced exploration anneals.
-    const auto &suite = spec2000int();
-    ASSERT_EQ(suite.size(), 11u);
-    const std::vector<size_t> k3 = {0, 1, 0, 6, 0, 6, 6, 0, 6, 0, 6};
-    const std::vector<size_t> k4 = {0, 1, 0, 6, 0, 6, 6, 0, 10, 0, 10};
-    EXPECT_EQ(Explorer::reduceWorkloads(suite, 3), k3);
-    EXPECT_EQ(Explorer::reduceWorkloads(suite, 4), k4);
-    // Seed stability: the exact same map on every call.
-    EXPECT_EQ(Explorer::reduceWorkloads(suite, 3), k3);
-    // Every representative is a member of its own cluster.
-    for (size_t r : k4)
-        EXPECT_EQ(k4[r], r);
-}
-
-TEST(ReduceWorkloadsDeathTest, RejectsOutOfRangeK)
-{
-    EXPECT_EXIT(Explorer::reduceWorkloads(miniSuite(), 0),
-                testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(Explorer::reduceWorkloads(miniSuite(), 3),
-                testing::ExitedWithCode(1), "out of range");
-}
-
-TEST(ReduceWorkloads, ReducedRunPropagatesRepresentativeConfig)
-{
-    // k=1 over the two-workload mini suite: one representative is
-    // annealed, the other workload must inherit its configuration,
-    // and both still get their own full-fidelity final evaluation.
-    ExplorerOptions opts = miniOpts(5);
-    opts.reduceWorkloads = 1;
-    const auto results = Explorer(miniSuite(), opts).exploreAll();
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_TRUE(results[0].best.sameArch(results[1].best))
-        << results[0].best.summary() << " vs "
-        << results[1].best.summary();
-    EXPECT_GT(results[0].bestIpt, 0.0);
-    EXPECT_GT(results[1].bestIpt, 0.0);
-}
-
-TEST(ReduceWorkloads, ReducedRunKillResumeIsBitIdentical)
-{
-    ExplorerOptions opts = miniOpts(9);
-    opts.reduceWorkloads = 1;
-    const auto golden = Explorer(miniSuite(), opts).exploreAll();
-    // The resumed runs must simulate their final pass, not read the
-    // golden's cells.
-    clearCells();
-    for (int kill_after : {2, 5}) {
-        const std::string dir =
-            freshDir("reduce_kill" + std::to_string(kill_after));
-        EXPECT_EXIT(exploreAndKill(opts, dir, kill_after),
-                    testing::ExitedWithCode(42), "");
-        ExplorerOptions resume = opts;
-        resume.checkpointEvery = 4;
-        resume.checkpointDir = dir;
-        const auto resumed = Explorer(miniSuite(), resume).exploreAll();
-        expectResultsIdentical(resumed, golden);
-        std::filesystem::remove_all(dir);
-    }
-}
-
-// --- thread count ----------------------------------------------------------
 
 TEST(Explorer, ThreadCountChangesNoResultAndNoCheckpointByte)
 {

@@ -583,6 +583,84 @@ TEST(Report, SpanCategoryTimeIsExclusiveAndSumsToOutermost)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Report, ConvergenceNamesTheRoundOfTheBest)
+{
+    // Anneal instants count steps within a round. gzip's best comes in
+    // round 1 at step 3, below round 0's best step 7; mcf anneals its
+    // round 1 on another thread while gzip is still in round 0, so
+    // only the span on the instant's own thread may name its round.
+    const std::string dir = freshDir("convergence");
+    std::string events;
+    auto add = [&](const std::string &event) {
+        events += (events.empty() ? "" : ",") + event;
+    };
+    auto round = [&](int tid, double ts, double dur, int r,
+                     const char *workload) {
+        char buf[256];
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"explore.round\",\"cat\":\"explore\","
+                      "\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,"
+                      "\"pid\":100,\"tid\":%d,\"args\":{\"workload\":"
+                      "\"%s\",\"round\":%d}}",
+                      ts, dur, tid, workload, r);
+        add(buf);
+    };
+    auto instant = [&](int tid, double ts, const char *name,
+                       const char *workload, int step, double obj) {
+        char buf[256];
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"%s\",\"cat\":\"anneal\",\"ph\":\"i\","
+                      "\"ts\":%.1f,\"pid\":100,\"tid\":%d,\"s\":\"t\","
+                      "\"args\":{\"workload\":\"%s\",\"step\":%d,"
+                      "\"temp\":0.1,\"obj\":%.2f}}",
+                      name, ts, tid, workload, step, obj);
+        add(buf);
+    };
+    round(1, 0, 1000, 0, "gzip");
+    instant(1, 100, "anneal.accept", "gzip", 2, 1.10);
+    instant(1, 700, "anneal.improve", "gzip", 7, 1.30);
+    round(1, 1000, 1000, 1, "gzip");
+    instant(1, 1200, "anneal.improve", "gzip", 3, 1.50);
+    instant(1, 1300, "anneal.accept", "gzip", 4, 1.40);
+    instant(1, 1900, "anneal.reject", "gzip", 9, 1.60);
+    round(2, 0, 400, 0, "mcf");
+    instant(2, 200, "anneal.improve", "mcf", 5, 0.40);
+    round(2, 400, 400, 1, "mcf");
+    instant(2, 500, "anneal.improve", "mcf", 1, 0.45);
+    writeRaw(dir + "/trace.json",
+             "{\"traceEvents\":[" + events + "]}\n");
+
+    const std::string report =
+        obs::renderReport(obs::resolveReportPaths(dir));
+    const size_t table = report.find("anneal convergence by workload");
+    ASSERT_NE(table, std::string::npos) << report;
+    std::map<std::string, std::string> at;
+    std::istringstream lines(report.substr(table));
+    std::string line;
+    std::getline(lines, line); // the title
+    std::getline(lines, line); // the column header
+    EXPECT_NE(line.find("round:step"), std::string::npos) << line;
+    while (std::getline(lines, line) && line.rfind("    ", 0) == 0) {
+        char workload[32], best[32];
+        unsigned long long accepts = 0, rejects = 0, rollbacks = 0;
+        double obj = 0;
+        ASSERT_EQ(std::sscanf(line.c_str(), "%31s %llu %llu %llu %lf %31s",
+                              workload, &accepts, &rejects, &rollbacks,
+                              &obj, best),
+                  6)
+            << line;
+        at[workload] = best;
+        if (std::string(workload) == "gzip") {
+            EXPECT_EQ(accepts, 2u);
+            EXPECT_EQ(rejects, 1u); // a rejected candidate is no best
+            EXPECT_DOUBLE_EQ(obj, 1.5);
+        }
+    }
+    EXPECT_EQ(at["gzip"], "1:3") << report;
+    EXPECT_EQ(at["mcf"], "1:1") << report;
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Report, ServeSectionRendersDaemonHealth)
 {
     const std::string dir = freshDir("serve_report");

@@ -21,6 +21,7 @@
 #include "comm/experiments.hh"
 #include "comm/perf_matrix.hh"
 #include "explore/checkpoint.hh"
+#include "sim/ooo_core.hh"
 #include "sim/simulator.hh"
 #include "util/atomic_file.hh"
 #include "util/csv.hh"
@@ -503,8 +504,8 @@ class StreamingVsTraced : public testing::TestWithParam<uint64_t>
 TEST_P(StreamingVsTraced, BitIdenticalStats)
 {
     // On random profiles: a trace is the generator's stream scored by
-    // a live predictor, and simulate() gives the same stats from a
-    // caller-built buffer as from the registry's.
+    // a live predictor, and a caller-built buffer run on the core gives
+    // the same stats as simulate() on the registry's.
     const WorkloadProfile profile = randomizedProfile(GetParam());
     const CoreConfig cfg = CoreConfig::initial();
     SimOptions registry;
@@ -512,12 +513,12 @@ TEST_P(StreamingVsTraced, BitIdenticalStats)
     registry.warmupInstrs = 4000;
     const SimStats a = simulate(profile, cfg, registry);
 
-    SimOptions own = registry;
-    own.trace = std::make_shared<const TraceBuffer>(
-        profile, own.streamId, own.traceOps() + kTraceSlackOps);
-    const TraceBuffer &trace = *own.trace;
+    const auto own = std::make_shared<const TraceBuffer>(
+        profile, registry.streamId,
+        registry.traceOps() + kTraceSlackOps);
+    const TraceBuffer &trace = *own;
     ASSERT_EQ(trace.meta().size(), trace.size());
-    SyntheticWorkload gen(profile, own.streamId);
+    SyntheticWorkload gen(profile, registry.streamId);
     BranchPredictor predictor;
     for (uint64_t i = 0; i < trace.size(); ++i) {
         const MicroOp &op = gen.next();
@@ -528,7 +529,8 @@ TEST_P(StreamingVsTraced, BitIdenticalStats)
         ASSERT_TRUE(trace.ops()[i] == op) << "op " << i;
         ASSERT_EQ(trace.meta()[i], meta) << "meta byte " << i;
     }
-    const SimStats b = simulate(profile, cfg, own);
+    const SimStats b = OooCore(cfg).run(own, registry.measureInstrs,
+                                        registry.effectiveWarmup());
 
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);

@@ -617,33 +617,6 @@ TEST(ServeEnv, ZeroJobRetriesBootsAndRunsEachJobOnce)
     fs::remove_all(dir);
 }
 
-TEST(ServeEnv, ExplorerSpeedKnobsDoNotReachExploreJobs)
-{
-    // The store keys explore results by the request alone, so the
-    // daemon's own XPS_REDUCE_WORKLOADS must not change what an
-    // explore job computes.
-    const char *req =
-        "{\"op\":\"explore\",\"id\":\"e\","
-        "\"workloads\":[\"gzip\",\"mcf\"],\"instrs\":4000,"
-        "\"sa_iters\":48,\"rounds\":2,\"seed\":11}";
-    auto exploreUnder =
-        [&](std::vector<std::pair<std::string, std::string>> env) {
-            const std::string dir = shortTempDir();
-            Daemon d(dir);
-            d.flags = {"--workers", "1"};
-            d.env = std::move(env);
-            d.start();
-            const std::string resp = rpc(d.sock, req, 300.0);
-            EXPECT_EQ(statusOf(resp), "ok") << resp;
-            d.stopGracefully();
-            fs::remove_all(dir);
-            return resultsOf(resp);
-        };
-    const std::string plain = exploreUnder({});
-    ASSERT_FALSE(plain.empty());
-    EXPECT_EQ(exploreUnder({{"XPS_REDUCE_WORKLOADS", "1"}}), plain);
-}
-
 // --- observability: metrics op, Prometheus export, traced flows ------------
 
 namespace

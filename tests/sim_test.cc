@@ -511,11 +511,22 @@ ownTrace(const WorkloadProfile &profile, const SimOptions &opts)
         profile, opts.streamId, opts.traceOps() + kTraceSlackOps);
 }
 
+/** The run `opts` describes, replayed on `trace` straight through the
+ *  core instead of through simulate() and the registry. */
+SimStats
+runOnTrace(std::shared_ptr<const TraceBuffer> trace,
+           const CoreConfig &cfg, const SimOptions &opts)
+{
+    return OooCore(cfg).run(std::move(trace), opts.measureInstrs,
+                            opts.effectiveWarmup());
+}
+
 TEST(TraceReplay, MatchesStreamingBitIdentical)
 {
     // The core's only input is a trace, so the trace must be the
-    // generator's stream exactly, and simulate() must not depend on
-    // whose buffer it replays: a caller-built one or the registry's.
+    // generator's stream exactly, and a run must not depend on whose
+    // buffer it replays: a caller-built one run on the core, or the
+    // registry's through simulate().
     for (const char *name : {"gcc", "mcf", "perl", "twolf"}) {
         const WorkloadProfile &profile = profileByName(name);
         SimOptions opts;
@@ -525,9 +536,7 @@ TEST(TraceReplay, MatchesStreamingBitIdentical)
         expectTraceIsGeneratorStream(*own, profile, opts.streamId);
         for (const CoreConfig &cfg :
              {CoreConfig::initial(), referenceConfig()}) {
-            SimOptions with_own = opts;
-            with_own.trace = own;
-            const SimStats from_own = simulate(profile, cfg, with_own);
+            const SimStats from_own = runOnTrace(own, cfg, opts);
             const SimStats from_registry = simulate(profile, cfg, opts);
             SCOPED_TRACE(cfg.name);
             expectSameStats(from_own, from_registry);
@@ -535,22 +544,11 @@ TEST(TraceReplay, MatchesStreamingBitIdentical)
     }
 }
 
-TEST(TraceReplayDeathTest, MismatchedTraceIsFatal)
-{
-    SimOptions opts;
-    opts.measureInstrs = 1000;
-    opts.trace = sharedTrace(profileByName("gzip"), opts.streamId,
-                             opts.traceOps());
-    EXPECT_EXIT(simulate(profileByName("gcc"), CoreConfig::initial(),
-                         opts),
-                testing::ExitedWithCode(1), "trace");
-}
-
 // Exact per-workload statistics of the whole suite on the initial
 // configuration (captured from the pre-optimization scan-based core).
 // Any scheduler or trace change that shifts timing by even one cycle
-// trips this; a caller-built trace and the registry's must both
-// reproduce it.
+// trips this; a caller-built trace run on the core and simulate() on
+// the registry's must both reproduce it.
 TEST(GoldenStats, SuiteOnInitialConfigIsFrozen)
 {
     struct Golden
@@ -590,10 +588,11 @@ TEST(GoldenStats, SuiteOnInitialConfigIsFrozen)
         SimOptions opts;
         opts.measureInstrs = 30000;
         for (bool own : {false, true}) {
-            opts.trace = own ? ownTrace(profile, opts) : nullptr;
-            const SimStats s = simulate(profile, cfg, opts);
+            const SimStats s =
+                own ? runOnTrace(ownTrace(profile, opts), cfg, opts)
+                    : simulate(profile, cfg, opts);
             SCOPED_TRACE(std::string(g.name) +
-                         (own ? " (own trace)" : " (registry)"));
+                         (own ? " (caller-built buffer)" : " (registry)"));
             EXPECT_EQ(s.instructions, g.instructions);
             EXPECT_EQ(s.cycles, g.cycles);
             EXPECT_EQ(s.loads, g.loads);

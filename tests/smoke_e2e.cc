@@ -12,7 +12,6 @@
 #include "sim/config.hh"
 #include "sim/simulator.hh"
 #include "workload/profile.hh"
-#include "workload/trace.hh"
 
 using namespace xps;
 
@@ -22,7 +21,6 @@ TEST(SmokeE2E, GccHundredThousandInstructions)
     const CoreConfig cfg = CoreConfig::initial();
     SimOptions opts;
     opts.measureInstrs = 100000;
-    opts.trace = sharedTrace(profile, opts.streamId, opts.traceOps());
 
     const SimStats s = simulate(profile, cfg, opts);
     EXPECT_EQ(s.instructions, 100000u);

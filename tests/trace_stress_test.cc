@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "util/metrics.hh"
 #include "workload/trace.hh"
 
 using namespace xps;
@@ -111,9 +112,11 @@ TEST(TraceStress, ConcurrentSimulationsShareOneBuffer)
     const WorkloadProfile &gzip = profileByName("gzip");
     SimOptions opts;
     opts.measureInstrs = 4000;
-    auto trace = sharedTrace(gzip, opts.streamId, opts.traceOps());
-    opts.trace = trace;
+    const auto trace = sharedTrace(gzip, opts.streamId, opts.traceOps());
     const SimStats golden = simulate(gzip, CoreConfig::initial(), opts);
+    Metrics &metrics = Metrics::global();
+    const uint64_t builds = metrics.counter("trace_cache.misses").get() +
+                            metrics.counter("trace_cache.grows").get();
 
     std::atomic<bool> mismatch{false};
     std::vector<std::thread> threads;
@@ -131,5 +134,11 @@ TEST(TraceStress, ConcurrentSimulationsShareOneBuffer)
     for (auto &t : threads)
         t.join();
     EXPECT_FALSE(mismatch.load());
+    // Every run replayed the registry's one buffer: none was built or
+    // grown, and the registry still hands out the same one.
+    EXPECT_EQ(metrics.counter("trace_cache.misses").get() +
+                  metrics.counter("trace_cache.grows").get(),
+              builds);
+    EXPECT_EQ(sharedTrace(gzip, opts.streamId, opts.traceOps()), trace);
     clearTraceRegistry();
 }

@@ -568,7 +568,7 @@ TEST(Env, KnobInventoryMatchesReadme)
     for (const std::string &knob : table)
         EXPECT_TRUE(code.count(knob))
             << knob << " has a README row but nothing in src/ reads it";
-    EXPECT_EQ(code.size(), 25u);
+    EXPECT_EQ(code.size(), 24u);
 }
 
 // --- atomic file ---------------------------------------------------------

@@ -482,7 +482,7 @@ TEST(Trace, RegistryMemoizesAndGrowsMonotonically)
         ASSERT_TRUE(small->ops()[i] == big->ops()[i])
             << "prefix diverged at op " << i;
     }
-    // The grown trace is byte-identical, ops and meta, to a fresh
+    // The grown buffer is byte-identical, ops and meta, to a fresh
     // buffer of its size: growing continues the paused generator and
     // the paused branch predictor, so the mispredict bits after the
     // old end still reflect every earlier branch.
